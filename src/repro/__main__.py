@@ -21,9 +21,9 @@ Commands:
   sanitizer installed; hazards are confirmed by deterministic flipped
   replay and any confirmed race fails the command;
 * ``bench`` — drive N concurrent users through the full transaction
-  path with the hot-path caches on and off and the kernel scheduler
-  A/B'd heap-vs-calendar, verify byte-identical outputs, optionally
-  sweep a goodput-vs-offered-load curve, and write ``BENCH_PERF.json``;
+  path with the hot-path caches on and off, verify byte-identical
+  outputs, optionally sweep a goodput-vs-offered-load curve, and write
+  ``BENCH_PERF.json``;
 * ``tables`` — print the paper's five tables as reproduced from the
   model registries (specs only — run ``pytest benchmarks/`` for the
   measured versions);
@@ -371,7 +371,6 @@ def _cmd_bench(args) -> int:
     report = full_bench(users=args.users, seed=args.seed,
                         transactions_per_user=args.transactions,
                         horizon=args.horizon,
-                        scheduler=args.scheduler,
                         sweep=sweep,
                         fleet=args.fleet,
                         workers=args.workers)
@@ -383,24 +382,16 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(text)
     det = report["determinism"]
-    sched = report["scheduler_determinism"]
     fleet_det = report["fleet_determinism"]
     opt = report["optimized"]
     summary = (
-        f"bench users={args.users} seed={args.seed} "
-        + (f"fleet={args.fleet} " if args.fleet else "")
-        + f"scheduler={opt['scheduler']}: "
-        f"{opt['measured']['wall_seconds']:.2f}s wall, "
+        f"bench users={args.users} seed={args.seed}"
+        + (f" fleet={args.fleet}" if args.fleet else "")
+        + f": {opt['measured']['wall_seconds']:.2f}s wall, "
         f"{opt['measured']['events_per_sec']} events/s, "
         f"{opt['measured']['transactions_per_sec']} txn/s; "
         f"caches on/off speedup {report['speedup_caches_on_vs_off']}"
     )
-    if "speedup_vs_pre_optimization" in report:
-        summary += (f"; vs pre-optimization baseline "
-                    f"{report['speedup_vs_pre_optimization']}x")
-    if "speedup_vs_pre_calendar" in report:
-        summary += (f"; vs pre-calendar baseline "
-                    f"{report['speedup_vs_pre_calendar']}x")
     print(summary, file=sys.stderr)
     parallel = report.get("parallel")
     if parallel is not None:
@@ -450,9 +441,6 @@ def _cmd_bench(args) -> int:
         failed = [name for name, ok in det["checks"].items() if not ok]
         failures.append(f"caches changed the results "
                         f"({', '.join(failed) or 'bench A/B'})")
-    if not sched["identical"]:
-        failed = [name for name, ok in sched["checks"].items() if not ok]
-        failures.append(f"schedulers diverged ({', '.join(failed)})")
     if not fleet_det["identical"]:
         failed = [name for name, ok in fleet_det["checks"].items()
                   if not ok]
@@ -475,9 +463,6 @@ def _cmd_bench(args) -> int:
         return 1
     print("determinism: caches on/off byte-identical "
           f"({', '.join(det['checks'])})", file=sys.stderr)
-    print("determinism: schedulers "
-          f"{'/'.join(sched['schedulers'])} byte-identical "
-          f"({', '.join(sched['checks'])})", file=sys.stderr)
     print("determinism: fleet wiring transparent "
           f"({', '.join(fleet_det['checks'])})", file=sys.stderr)
     if parallel is not None and "fallback" not in parallel:
@@ -691,11 +676,6 @@ def main(argv=None) -> int:
                        help="transactions per user (default 4)")
     bench.add_argument("--horizon", type=float, default=240.0,
                        help="sim-seconds to run (default 240)")
-    bench.add_argument("--scheduler", default=None,
-                       choices=["heap", "calendar"],
-                       help="kernel scheduler for the timed runs "
-                            "(default: calendar; the A/B guard always "
-                            "exercises both)")
     bench.add_argument("--sweep", default=None, metavar="N,N,...",
                        help="also run a goodput-vs-offered-load sweep "
                             "at these user counts (e.g. 50,100,200,500)")

@@ -63,18 +63,19 @@ class HotQueuePopRule(Rule):
 class DirectHeapqRule(Rule):
     """No direct ``heapq`` use outside :mod:`repro.sim.sched`.
 
-    The kernel's event ordering is owned by the pluggable scheduler
+    The kernel's event ordering is owned by its event queue
     (``repro.sim.sched``); a stray ``heapq`` priority queue elsewhere
-    tends to become a shadow event queue whose ordering the scheduler
-    A/B determinism guard cannot see.  Algorithmic uses that are *not*
-    event scheduling (e.g. Dijkstra's frontier in the routing table)
-    suppress with ``# repro: noqa[direct-heapq]`` and a justification.
+    tends to become a shadow event queue whose ordering bypasses the
+    kernel's ``(time, priority, seq)`` total order.  Algorithmic uses
+    that are *not* event scheduling (e.g. Dijkstra's frontier in the
+    routing table) suppress with ``# repro: noqa[direct-heapq]`` and a
+    justification.
     """
 
     rule_id = "direct-heapq"
     severity = SEVERITY_WARNING
-    description = ("direct heapq use outside repro.sim.sched; go through "
-                   "the scheduler abstraction")
+    description = ("direct heapq use outside repro.sim.sched; schedule "
+                   "through the kernel's event queue")
 
     SANCTIONED = "repro.sim.sched"
 
@@ -89,7 +90,7 @@ class DirectHeapqRule(Rule):
                     yield self.finding(
                         info, node.lineno,
                         "import heapq outside repro.sim.sched; event "
-                        "ordering belongs to the scheduler abstraction",
+                        "ordering belongs to the kernel's event queue",
                     )
             elif isinstance(node, ast.ImportFrom):
                 if node.level == 0 and node.module is not None and \
@@ -98,6 +99,6 @@ class DirectHeapqRule(Rule):
                     yield self.finding(
                         info, node.lineno,
                         "from heapq import ... outside repro.sim.sched; "
-                        "event ordering belongs to the scheduler "
-                        "abstraction",
+                        "event ordering belongs to the kernel's event "
+                        "queue",
                     )

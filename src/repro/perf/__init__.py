@@ -9,24 +9,10 @@ goodput-vs-offered-load curve.
 
 ``determinism_check`` is the guard for the optimization pass: it runs
 fixed scenarios with the hot-path caches forced on and forced off and
-compares the outputs byte for byte.  ``scheduler_check`` applies the
-same discipline to the pluggable kernel scheduler (heap vs calendar
-queue).  See :mod:`repro.opt` and :mod:`repro.sim.sched`.
+compares the outputs byte for byte.  See :mod:`repro.opt`.
 """
 
-from .baseline import (
-    BASELINES,
-    PRE_CALENDAR_BASELINE,
-    PRE_OPTIMIZATION_BASELINE,
-    baseline_for,
-    baselines_for,
-)
-from .determinism import (
-    determinism_check,
-    fleet_check,
-    parallel_check,
-    scheduler_check,
-)
+from .determinism import determinism_check, fleet_check, parallel_check
 from .loadgen import (
     bench_deterministic,
     bench_json,
@@ -42,7 +28,5 @@ from .report import full_bench, report_to_json
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
            "bench_deterministic", "build_bench_scenario",
            "check_capacity_curve", "determinism_check", "fleet_check",
-           "parallel_check", "scheduler_check", "run_parallel_bench",
-           "run_parallel_chaos", "full_bench", "report_to_json",
-           "PRE_OPTIMIZATION_BASELINE", "PRE_CALENDAR_BASELINE",
-           "BASELINES", "baseline_for", "baselines_for"]
+           "parallel_check", "run_parallel_bench", "run_parallel_chaos",
+           "full_bench", "report_to_json"]

@@ -1,4 +1,4 @@
-"""A/B determinism guards: hot-path caches, and kernel schedulers.
+"""A/B determinism guards: hot-path caches, fleet wiring, parallel engine.
 
 Every optimization behind :data:`repro.opt.OPTIMIZATIONS` claims to be
 *transparent*: toggling it changes host CPU time, never what the
@@ -7,13 +7,7 @@ account — it runs fixed scenarios twice, once with every flag forced on
 and once forced off, and compares the canonical JSON output byte for
 byte.
 
-:func:`scheduler_check` applies the same discipline to the pluggable
-event scheduler: the calendar queue claims to reproduce the heap's
-``(time, priority, seq)`` total order exactly, so running the same
-scenarios under ``--scheduler heap`` and ``--scheduler calendar`` must
-produce byte-identical deterministic sections.
-
-Three comparisons cover the surfaces in both guards:
+Three comparisons cover the surfaces the caches touch:
 
 * a chaos run through the ``gateway-outage`` scenario (gateway
   translation caches plus their crash/restart flush),
@@ -28,11 +22,9 @@ import json
 
 from ..faults.chaos import report_json, run_chaos
 from ..opt import OPTIMIZATIONS, optimizations_disabled
-from ..sim import SCHEDULERS, scheduler_override
 from .loadgen import run_bench
 
-__all__ = ["determinism_check", "fleet_check", "parallel_check",
-           "scheduler_check"]
+__all__ = ["determinism_check", "fleet_check", "parallel_check"]
 
 
 def _bench_bytes(users: int, seed: int, fleet: int = 0) -> str:
@@ -48,15 +40,6 @@ def _chaos_bytes(scenario: str, seed: int) -> str:
                                  horizon=120.0))
 
 
-def _guard_scenarios(users: int, seed: int) -> dict:
-    """The fixed scenarios both guards byte-compare across."""
-    return {
-        "bench": lambda: _bench_bytes(users, seed),
-        "chaos-gateway-outage": lambda: _chaos_bytes("gateway-outage", seed),
-        "chaos-dns-blackout": lambda: _chaos_bytes("dns-blackout", seed),
-    }
-
-
 def determinism_check(users: int = 20, seed: int = 7) -> dict:
     """Run the caches-on/off A/B comparison; returns a verdict dict.
 
@@ -64,7 +47,11 @@ def determinism_check(users: int = 20, seed: int = 7) -> dict:
     bytes with the caches on and off.  The per-check map names any
     offender so a CI failure is self-describing.
     """
-    scenarios = _guard_scenarios(users, seed)
+    scenarios = {
+        "bench": lambda: _bench_bytes(users, seed),
+        "chaos-gateway-outage": lambda: _chaos_bytes("gateway-outage", seed),
+        "chaos-dns-blackout": lambda: _chaos_bytes("dns-blackout", seed),
+    }
     checks: dict[str, bool] = {}
     for name, produce in scenarios.items():
         saved = OPTIMIZATIONS.as_dict()
@@ -163,37 +150,6 @@ def parallel_check(users: int = 24, seed: int = 7,
         "checks": checks,
         "shards": shards,
         "workers": list(workers),
-        "users": users,
-        "seed": seed,
-    }
-
-
-def scheduler_check(users: int = 20, seed: int = 7,
-                    schedulers: tuple = ("heap", "calendar")) -> dict:
-    """Run the scheduler A/B comparison; returns a verdict dict.
-
-    Every scenario runs once under each named scheduler; ``identical``
-    is True only when all of them produced byte-identical deterministic
-    output.  The reference implementation (``heap``) goes first so a
-    mismatch reads as "calendar diverged from heap".
-    """
-    unknown = [name for name in schedulers if name not in SCHEDULERS]
-    if unknown:
-        raise ValueError(f"unknown scheduler(s): {unknown}")
-    if len(schedulers) < 2:
-        raise ValueError("scheduler_check needs at least two schedulers")
-    scenarios = _guard_scenarios(users, seed)
-    checks: dict[str, bool] = {}
-    for name, produce in scenarios.items():
-        outputs = []
-        for scheduler in schedulers:
-            with scheduler_override(scheduler):
-                outputs.append(produce())
-        checks[name] = all(output == outputs[0] for output in outputs[1:])
-    return {
-        "identical": all(checks.values()),
-        "checks": checks,
-        "schedulers": list(schedulers),
         "users": users,
         "seed": seed,
     }

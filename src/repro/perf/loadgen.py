@@ -25,7 +25,6 @@ import dataclasses
 import gc
 import json
 import time
-from contextlib import nullcontext
 from typing import Iterable, Optional
 
 from ..apps import CommerceApp
@@ -35,7 +34,6 @@ from ..fleet import fleet_report
 from ..obs import install_tracer, layer_breakdown
 from ..opt import OPTIMIZATIONS
 from ..resilience import ResilienceConfig
-from ..sim import scheduler_override
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
            "check_capacity_curve", "build_bench_scenario",
@@ -190,7 +188,6 @@ def build_bench_scenario(users: int = 50, seed: int = 7,
                          policies: bool = True,
                          trace: bool = True,
                          max_spans: int = 2_000_000,
-                         scheduler: Optional[str] = None,
                          resilience: Optional[ResilienceConfig] = None,
                          fleet: int = 0,
                          user_offset: int = 0) -> _BenchScenario:
@@ -215,10 +212,7 @@ def build_bench_scenario(users: int = 50, seed: int = 7,
                                          standby_gateway=False)
     builder = MCSystemBuilder(seed=seed, middleware=middleware,
                               bearer=bearer, resilience=resilience)
-    context = scheduler_override(scheduler) if scheduler is not None \
-        else nullcontext()
-    with context:
-        system = builder.build()
+    system = builder.build()
 
     shop = CommerceApp(items=[("WAP Phone", 19900, 10_000_000),
                               ("Leather Case", 950, 10_000_000)])
@@ -283,7 +277,6 @@ def run_bench(users: int = 50, seed: int = 7,
               policies: bool = True,
               trace: bool = True,
               max_spans: int = 2_000_000,
-              scheduler: Optional[str] = None,
               post_build=None,
               resilience: Optional[ResilienceConfig] = None,
               fleet: int = 0) -> dict:
@@ -292,12 +285,10 @@ def run_bench(users: int = 50, seed: int = 7,
     ``users`` stations each run ``transactions_per_user`` purchase flows
     spread across ``horizon`` virtual seconds.  The wall-clock section
     measures only the ``system.run`` call — build and reporting time is
-    not counted.  ``scheduler`` picks the kernel scheduler for this run
-    (None = process default); the choice is recorded outside the
-    deterministic section so the A/B guard can byte-compare across it.
-    ``post_build(system, engine)``, when given, runs after the scenario
-    is fully wired but before the clock starts — the race sanitizer
-    uses it to instrument shared state and install its kernel hook.
+    not counted.  ``post_build(system, engine)``, when given, runs after
+    the scenario is fully wired but before the clock starts — the race
+    sanitizer uses it to instrument shared state and install its kernel
+    hook.
     ``resilience`` overrides the policy set (tests use it to force
     specific capacity knobs); the default with ``policies=True`` is
     :func:`bench_resilience`.  ``fleet`` > 0 runs the middleware tier
@@ -310,7 +301,7 @@ def run_bench(users: int = 50, seed: int = 7,
         transactions_per_user=transactions_per_user, horizon=horizon,
         middleware=middleware, bearer=bearer, device=device,
         policies=policies, trace=trace, max_spans=max_spans,
-        scheduler=scheduler, resilience=resilience, fleet=fleet)
+        resilience=resilience, fleet=fleet)
     system, engine = scenario.system, scenario.engine
 
     if post_build is not None:
@@ -354,7 +345,6 @@ def run_bench(users: int = 50, seed: int = 7,
     report = {
         "deterministic": deterministic,
         "optimizations": OPTIMIZATIONS.as_dict(),
-        "scheduler": system.sim.scheduler_name,
         "measured": {
             "wall_seconds": round(wall_seconds, 4),
             "events_per_sec": (round(events / wall_seconds)
@@ -447,7 +437,6 @@ def bench_deterministic(scenario: _BenchScenario) -> dict:
 def sweep_bench(user_counts: Iterable[int], seed: int = 7,
                 transactions_per_user: int = 4,
                 horizon: float = 240.0,
-                scheduler: Optional[str] = None,
                 fleet: int = 0) -> dict:
     """Goodput-vs-offered-load curve across a list of user counts.
 
@@ -470,8 +459,7 @@ def sweep_bench(user_counts: Iterable[int], seed: int = 7,
     for users in counts:
         report = run_bench(users=users, seed=seed,
                            transactions_per_user=transactions_per_user,
-                           horizon=horizon, trace=False,
-                           scheduler=scheduler, fleet=fleet)
+                           horizon=horizon, trace=False, fleet=fleet)
         det = report["deterministic"]
         virtual = det["virtual_seconds"] or horizon
         det_points.append({

@@ -9,7 +9,7 @@ which OS process hosts it — so running the same decomposition under 1,
 enforced by ``parallel_check``.
 
 The merged report keeps the sequential report's shape (``deterministic``
-/ ``optimizations`` / ``scheduler`` / ``measured``) and adds a
+/ ``optimizations`` / ``measured``) and adds a
 ``deterministic.parallel`` subsection (partition, cut, merge-point
 totals, canonical state hash).  With one shard the deterministic
 section minus that subsection is byte-identical to plain
@@ -106,10 +106,7 @@ class _ShardBase:
         payload = self._payload()
         payload["shard"] = self.spec.shard_id
         payload["merge_totals"] = self.merge_totals()
-        payload["measured"] = {
-            "run_seconds": round(self._run_seconds, 4),
-            "scheduler": self.scenario.system.sim.scheduler_name,
-        }
+        payload["measured"] = {"run_seconds": round(self._run_seconds, 4)}
         return payload
 
     def _payload(self) -> dict:
@@ -125,8 +122,8 @@ class _BenchShard(_ShardBase):
             horizon=params["horizon"], middleware=params["middleware"],
             bearer=tuple(params["bearer"]), device=params["device"],
             policies=params["policies"], trace=params["trace"],
-            max_spans=params["max_spans"], scheduler=params["scheduler"],
-            fleet=0, user_offset=spec.user_offset)
+            max_spans=params["max_spans"], fleet=0,
+            user_offset=spec.user_offset)
         super().__init__(spec, scenario)
 
     def merge_totals(self) -> dict:
@@ -194,7 +191,6 @@ def run_parallel_bench(users: int = 50, seed: int = 7,
                        policies: bool = True,
                        trace: bool = True,
                        max_spans: int = 2_000_000,
-                       scheduler: Optional[str] = None,
                        fleet: int = 0,
                        matrix: Optional[dict] = None) -> dict:
     """Partitioned bench run; falls back to sequential when no legal cut.
@@ -216,8 +212,7 @@ def run_parallel_bench(users: int = 50, seed: int = 7,
                            transactions_per_user=transactions_per_user,
                            horizon=horizon, middleware=middleware,
                            bearer=bearer, device=device, policies=policies,
-                           trace=trace, max_spans=max_spans,
-                           scheduler=scheduler, fleet=fleet)
+                           trace=trace, max_spans=max_spans, fleet=fleet)
         report["parallel_fallback"] = {
             "workers": workers,
             "reason": exc.reason,
@@ -229,7 +224,7 @@ def run_parallel_bench(users: int = 50, seed: int = 7,
         "transactions_per_user": transactions_per_user,
         "horizon": horizon, "middleware": middleware,
         "bearer": list(bearer), "device": device, "policies": policies,
-        "trace": trace, "max_spans": max_spans, "scheduler": scheduler,
+        "trace": trace, "max_spans": max_spans,
     }
     specs = [dataclasses.replace(spec, params=params)
              for spec in plan.shards]
@@ -256,11 +251,9 @@ def run_parallel_bench(users: int = 50, seed: int = 7,
                                                plan, merged_log)
     events = deterministic["kernel_events"]
     wall = run["wall_seconds"]
-    scheduler_name = run["payloads"][0]["measured"]["scheduler"]
     return {
         "deterministic": deterministic,
         "optimizations": OPTIMIZATIONS.as_dict(),
-        "scheduler": scheduler_name,
         "measured": {
             "wall_seconds": round(wall, 4),
             "total_seconds": round(run["total_seconds"], 4),

@@ -1,13 +1,11 @@
-"""BENCH_PERF assembly: optimized run, A/B guards, sweep, baselines.
+"""BENCH_PERF assembly: optimized run, A/B guards, sweep.
 
 ``full_bench`` is what ``python -m repro bench`` executes: the load
 scenario with the caches on, the same scenario with them forced off, the
-caches A/B determinism verdict, the scheduler A/B verdict (heap vs
-calendar held to byte-identical deterministic sections), the fleet A/B
-verdict (fleet-of-1 vs single gateway, fleet-of-3 repeatability),
-optionally the goodput-vs-offered-load sweep, and — when the scenario matches a
-recorded one — every matching baseline with a wall-clock speedup against
-it.  The result serialises to ``BENCH_PERF.json``.
+caches A/B determinism verdict, the fleet A/B verdict (fleet-of-1 vs
+single gateway, fleet-of-3 repeatability) and optionally the
+goodput-vs-offered-load sweep.  The result serialises to
+``BENCH_PERF.json``.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ import json
 from typing import Iterable, Optional
 
 from ..opt import optimizations_disabled
-from .baseline import baselines_for
-from .determinism import (determinism_check, fleet_check, parallel_check,
-                          scheduler_check)
+from .determinism import determinism_check, fleet_check, parallel_check
 from .loadgen import run_bench, sweep_bench
 
 __all__ = ["full_bench", "report_to_json"]
@@ -29,27 +25,23 @@ def full_bench(users: int = 50, seed: int = 7,
                transactions_per_user: int = 4,
                horizon: float = 240.0,
                determinism_users: int = 20,
-               scheduler: Optional[str] = None,
                sweep: Optional[Iterable[int]] = None,
                fleet: int = 0,
                workers: int = 0) -> dict:
     """Run the benchmark both ways and assemble the BENCH_PERF report.
 
-    ``scheduler`` pins the timed runs to one scheduler (None = process
-    default); the A/B guards always exercise both regardless.  ``sweep``
-    is an optional list of user counts for the goodput-vs-offered-load
-    curve.  ``fleet`` > 0 runs the timed scenario (and the sweep)
-    against an N-member gateway fleet and adds the fleet A/B guard
-    (fleet-of-1 vs single gateway byte-identical; fleet-of-3 repeat
-    byte-identical); recorded wall-clock baselines describe the
-    single-gateway scenario, so they are skipped.  ``workers`` > 0
-    runs the timed scenario through the partitioned engine on that
-    many processes, byte-compares the full-scale parallel run against
-    the same decomposition executed sequentially (lockstep), records
-    the speedup, and adds the ``parallel_check`` A/B guard.
+    ``sweep`` is an optional list of user counts for the
+    goodput-vs-offered-load curve.  ``fleet`` > 0 runs the timed
+    scenario (and the sweep) against an N-member gateway fleet and adds
+    the fleet A/B guard (fleet-of-1 vs single gateway byte-identical;
+    fleet-of-3 repeat byte-identical).  ``workers`` > 0 runs the timed
+    scenario through the partitioned engine on that many processes,
+    byte-compares the full-scale parallel run against the same
+    decomposition executed sequentially (lockstep), records the
+    speedup, and adds the ``parallel_check`` A/B guard.
     """
     parallel_section = _parallel_bench(users, seed, transactions_per_user,
-                                       horizon, scheduler, fleet, workers,
+                                       horizon, fleet, workers,
                                        determinism_users) \
         if workers > 0 else None
     # Warm-up pass so neither timed run pays first-touch costs
@@ -57,24 +49,22 @@ def full_bench(users: int = 50, seed: int = 7,
     # runs so the second is not timed under the first one's garbage.
     run_bench(users=min(users, 20), seed=seed,
               transactions_per_user=transactions_per_user,
-              horizon=min(horizon, 60.0), scheduler=scheduler, fleet=fleet)
+              horizon=min(horizon, 60.0), fleet=fleet)
     gc.collect()
     optimized = run_bench(users=users, seed=seed,
                           transactions_per_user=transactions_per_user,
-                          horizon=horizon, scheduler=scheduler, fleet=fleet)
+                          horizon=horizon, fleet=fleet)
     gc.collect()
     with optimizations_disabled():
         caches_off = run_bench(users=users, seed=seed,
                                transactions_per_user=transactions_per_user,
-                               horizon=horizon, scheduler=scheduler,
-                               fleet=fleet)
+                               horizon=horizon, fleet=fleet)
     gc.collect()
     same_results = (
         json.dumps(optimized["deterministic"], sort_keys=True)
         == json.dumps(caches_off["deterministic"], sort_keys=True))
     guard_users = min(users, determinism_users)
     determinism = determinism_check(users=guard_users, seed=seed)
-    schedulers = scheduler_check(users=guard_users, seed=seed)
     fleet_guard = fleet_check(users=guard_users, seed=seed)
 
     off_wall = caches_off["measured"]["wall_seconds"]
@@ -93,7 +83,6 @@ def full_bench(users: int = 50, seed: int = 7,
         "speedup_caches_on_vs_off": (round(off_wall / opt_wall, 3)
                                      if opt_wall > 0 else None),
         "determinism": determinism,
-        "scheduler_determinism": schedulers,
         "fleet_determinism": fleet_guard,
         "identical_results_caches_on_vs_off": same_results,
     }
@@ -106,21 +95,12 @@ def full_bench(users: int = 50, seed: int = 7,
         report["sweep"] = sweep_bench(sweep, seed=seed,
                                       transactions_per_user=(
                                           transactions_per_user),
-                                      horizon=horizon, scheduler=scheduler,
-                                      fleet=fleet)
-    if fleet == 0:
-        for name, baseline in baselines_for(users, seed,
-                                            transactions_per_user,
-                                            horizon).items():
-            report[f"{name}_baseline"] = baseline
-            if opt_wall > 0:
-                report[f"speedup_vs_{name}"] = round(
-                    baseline["wall_seconds"] / opt_wall, 3)
+                                      horizon=horizon, fleet=fleet)
     return report
 
 
 def _parallel_bench(users, seed, transactions_per_user, horizon,
-                    scheduler, fleet, workers, determinism_users) -> dict:
+                    fleet, workers, determinism_users) -> dict:
     """The ``--workers`` section: timed parallel run + equivalence.
 
     The full-scale scenario runs once on ``workers`` processes and once
@@ -135,7 +115,7 @@ def _parallel_bench(users, seed, transactions_per_user, horizon,
     parallel = run_parallel_bench(
         users=users, seed=seed,
         transactions_per_user=transactions_per_user, horizon=horizon,
-        scheduler=scheduler, fleet=fleet, workers=workers)
+        fleet=fleet, workers=workers)
     if "parallel_fallback" in parallel:
         return {
             "fallback": parallel["parallel_fallback"],
@@ -146,7 +126,7 @@ def _parallel_bench(users, seed, transactions_per_user, horizon,
     lockstep = run_parallel_bench(
         users=users, seed=seed,
         transactions_per_user=transactions_per_user, horizon=horizon,
-        scheduler=scheduler, fleet=fleet, workers=1,
+        fleet=fleet, workers=1,
         shards=parallel["deterministic"]["parallel"]["shards"])
     gc.collect()
     identical = (

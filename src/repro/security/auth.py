@@ -16,8 +16,6 @@ from ..sim import RandomStream, Simulator
 
 __all__ = ["AuthenticationError", "UserStore", "TokenIssuer"]
 
-_token_counter = itertools.count(1)
-
 
 class AuthenticationError(Exception):
     """Bad credentials or invalid/expired token."""
@@ -78,10 +76,13 @@ class TokenIssuer:
         self.sim = sim
         self.secret = secret
         self.ttl = ttl
+        # Per-issuer serials: two systems built in one process must
+        # issue the same tokens for the same seed.
+        self._serials = itertools.count(1)
 
     def issue(self, username: str) -> str:
         expires = self.sim.now + self.ttl
-        payload = f"{username}:{expires}:{next(_token_counter)}"
+        payload = f"{username}:{expires}:{next(self._serials)}"
         signature = hmac.new(self.secret, payload.encode(),
                              hashlib.sha256).hexdigest()[:24]
         return f"{payload}:{signature}"

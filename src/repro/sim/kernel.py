@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .sched import make_scheduler
+from .sched import HeapScheduler
 
 __all__ = [
     "Event",
@@ -399,28 +399,20 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """The event loop over a pluggable scheduler of
-    (time, priority, seq, event) entries.
+    """The event loop over a binary heap of (time, priority, seq, event)
+    entries (see :mod:`repro.sim.sched`).
 
     ``strict`` controls error propagation from processes nobody waits
     on: when True (the default) an uncaught exception inside a process
     aborts :meth:`run`, which is almost always what a test wants.
-
-    ``scheduler`` names the queue implementation (see
-    :mod:`repro.sim.sched`): ``"heap"`` for the reference binary heap,
-    ``"calendar"`` for the calendar queue, ``None`` for the process
-    default.  Both dispatch events in the identical total order — the
-    A/B guard in ``repro.perf`` holds them to byte-identical runs.
     """
 
-    def __init__(self, strict: bool = True,
-                 scheduler: Optional[str] = None):
+    def __init__(self, strict: bool = True):
         self.now: float = 0.0
         self.strict = strict
-        self._sched = make_scheduler(scheduler)
+        self._sched = HeapScheduler()
         # Bound-method caches for the two push entry points: triggering
-        # is the kernel's hottest path and the scheduler never changes
-        # after construction.
+        # is the kernel's hottest path.
         self._push_now = self._sched.push_now
         self._push = self._sched.push
         self._seq = itertools.count()
@@ -445,7 +437,7 @@ class Simulator:
 
     @property
     def scheduler_name(self) -> str:
-        """Which scheduler this simulator runs on ("heap"/"calendar")."""
+        """Which event queue this simulator runs on (always "heap")."""
         return self._sched.name
 
     # -- factories ---------------------------------------------------------
@@ -532,8 +524,7 @@ class Simulator:
         The observable sequence of state changes per event (time check,
         ``now`` advance, order stamp, profiler hook, callback drain) is
         exactly :meth:`step`'s, so single-stepping and running are
-        indistinguishable to everything above the kernel — whichever
-        scheduler is installed.
+        indistinguishable to everything above the kernel.
         """
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")

@@ -313,3 +313,20 @@ def test_travel_ticket_verifiable(world):
     record = run_flow(system, engine, handle, book_and_verify)
     assert record.ok, record.error
     assert record.result == {"real": 200, "forged": 403}
+
+
+def test_same_seed_reproduces_within_one_process():
+    """Two systems built from one seed in one interpreter issue the same
+    ticket tokens, so they simulate the same run."""
+    def run_once():
+        system = MCSystemBuilder(seed=3, middleware="WAP",
+                                 bearer=("cellular", "WCDMA")).build()
+        handle = system.add_station("Toshiba E740")
+        engine = TransactionEngine(system)
+        app = TravelApp()
+        system.mount_application(app)
+        record = run_flow(system, engine, handle, app.book_trip())
+        assert record.ok, record.error
+        return record.latency, db_rows(system, "SELECT * FROM tv_tickets")
+
+    assert run_once() == run_once()

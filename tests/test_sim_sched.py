@@ -1,19 +1,9 @@
-"""Tests for repro.sim.sched: the pluggable scheduler abstraction, the
-calendar queue's edge cases, and heap-vs-calendar equivalence."""
+"""Tests for repro.sim.sched: the kernel's binary-heap event queue,
+checked case by case and against a sorted-list model."""
 
-# Seeded local Random instances only — never the module-level RNG.
-import random  # repro: noqa[module-random] seeded property-test streams
+from hypothesis import given, settings, strategies as st
 
-import pytest
-
-from repro.sim import (
-    CalendarScheduler,
-    HeapScheduler,
-    SCHEDULERS,
-    Simulator,
-    make_scheduler,
-    scheduler_override,
-)
+from repro.sim import HeapScheduler, Simulator
 
 
 class FakeEvent:
@@ -23,43 +13,10 @@ class FakeEvent:
         self._cancelled = False
 
 
-def drain(sched):
-    """Every live entry, in dispatch order."""
-    order = []
-    while True:
-        batch = sched.pop_batch(None)
-        if not batch:
-            return order
-        order.extend(batch)
-
-
-# ------------------------------------------------------------- registry
-def test_registry_and_factory():
-    assert set(SCHEDULERS) == {"heap", "calendar"}
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-    with pytest.raises(ValueError):
-        make_scheduler("splay")
-
-
-def test_scheduler_override_restores_default():
-    with scheduler_override("heap"):
-        assert Simulator().scheduler_name == "heap"
-    assert Simulator().scheduler_name == "calendar"
-
-
-def test_calendar_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        CalendarScheduler(buckets=48)
-    with pytest.raises(ValueError):
-        CalendarScheduler(width=0.0)
-
-
 # ----------------------------------------------- same-timestamp ordering
-@pytest.mark.parametrize("name", sorted(SCHEDULERS))
-def test_same_timestamp_batch_is_seq_ordered(name):
-    sched = make_scheduler(name)
-    # One timestamp, pushed out of seq order through both entry points.
+def test_same_timestamp_batch_is_seq_ordered():
+    sched = HeapScheduler()
+    # One timestamp, pushed out of seq order.
     sched.push(5.0, 1, 30, FakeEvent())
     sched.push(5.0, 1, 10, FakeEvent())
     sched.push(5.0, 1, 20, FakeEvent())
@@ -67,32 +24,11 @@ def test_same_timestamp_batch_is_seq_ordered(name):
     assert [entry[2] for entry in batch] == [10, 20, 30]
 
 
-def test_same_timestamp_across_bucket_boundary():
-    """Entries at one instant must dispatch together even when the
-    timestamp sits exactly on a bucket-width boundary and neighbours
-    land one day apart."""
-    sched = CalendarScheduler(buckets=64, width=0.05)
-    boundary = 0.05 * 7  # exactly day 7's left edge
-    events = [FakeEvent() for _ in range(6)]
-    sched.push(boundary, 1, 2, events[0])
-    sched.push(boundary - 1e-9, 1, 1, events[1])   # previous day
-    sched.push(boundary, 1, 3, events[2])
-    sched.push(boundary + 0.05, 1, 4, events[3])   # next day
-    first = sched.pop_batch(None)
-    assert [entry[2] for entry in first] == [1]
-    second = sched.pop_batch(None)
-    assert [entry[2] for entry in second] == [2, 3]
-    third = sched.pop_batch(None)
-    assert [entry[2] for entry in third] == [4]
-
-
 # -------------------------------------------------- tombstones / cancels
-@pytest.mark.parametrize("name", sorted(SCHEDULERS))
-def test_mass_timeout_cancellation(name):
+def test_mass_timeout_cancellation():
     """Cancel hundreds of pending timeouts; none may fire and the live
     count must reflect only survivors."""
-    with scheduler_override(name):
-        sim = Simulator()
+    sim = Simulator()
     fired = []
     timers = []
     for index in range(400):
@@ -110,7 +46,7 @@ def test_mass_timeout_cancellation(name):
 
 
 def test_peek_skips_cancelled_head():
-    sched = CalendarScheduler()
+    sched = HeapScheduler()
     dead = FakeEvent()
     sched.push(1.0, 1, 1, dead)
     sched.push(2.0, 1, 2, FakeEvent())
@@ -120,102 +56,116 @@ def test_peek_skips_cancelled_head():
     assert sched.live_count() == 1
 
 
-# ------------------------------------------------------- wheel geometry
-def test_bucket_resize_mid_run_preserves_order():
-    """Push enough to force doubling, drain enough to force halving;
-    dispatch order must stay the total (time, priority, seq) order."""
-    sched = CalendarScheduler(buckets=64, width=0.05)
-    rng = random.Random(11)
-    entries = []
-    for seq in range(1000):  # 1000 > 2*64 forces growth
-        entry = (rng.uniform(0.0, 30.0), 1, seq, FakeEvent())
-        entries.append(entry)
-        sched.push(*entry)
-    assert sched._nb > 64
-    got = drain(sched)
-    assert [e[:3] for e in got] == [e[:3] for e in sorted(entries)]
-    assert sched._nb < 1024  # drained: halved back down
-
-
-def test_empty_wheel_peek_and_pop():
-    sched = CalendarScheduler()
-    assert sched.peek_time() == float("inf")
-    assert sched.pop_batch(None) == []
-    assert sched.pop_one() is None
-    assert len(sched) == 0 and sched.live_count() == 0
-    # A sparse far-future population after the empties must still work.
-    sched.push(1e6, 1, 1, FakeEvent())
-    assert sched.peek_time() == 1e6
-
-
 def test_until_excludes_later_entries():
-    sched = CalendarScheduler()
+    sched = HeapScheduler()
     sched.push(5.0, 1, 1, FakeEvent())
     assert sched.pop_batch(4.0) == []
     assert sched.pop_batch(5.0)[0][2] == 1
 
 
-# --------------------------------------------------------- equivalence
-def test_heap_calendar_equivalence_property():
-    """Random push/pop/cancel interleavings give byte-identical
-    dispatch sequences on both schedulers."""
-    for seed in range(5):
-        rng = random.Random(seed)
-        heap, cal = HeapScheduler(), CalendarScheduler()
-        seq = 0
-        now = 0.0
-        pending = []
-        heap_order, cal_order = [], []
-        for _ in range(120):
-            action = rng.random()
-            if action < 0.55:
-                seq += 1
-                delay = rng.choice([0.0, rng.uniform(0.0, 0.2),
-                                    rng.uniform(0.0, 50.0)])
-                priority = 0 if rng.random() < 0.05 else 1
-                ev_h, ev_c = FakeEvent(), FakeEvent()
-                if delay == 0.0 and priority == 1:
-                    heap.push_now(now, seq, ev_h)
-                    cal.push_now(now, seq, ev_c)
-                else:
-                    heap.push(now + delay, priority, seq, ev_h)
-                    cal.push(now + delay, priority, seq, ev_c)
-                pending.append((ev_h, ev_c))
-            elif action < 0.65 and pending:
-                ev_h, ev_c = pending.pop(rng.randrange(len(pending)))
-                ev_h._cancelled = ev_c._cancelled = True
-                heap.tombstones += 1
-                cal.tombstones += 1
-            else:
-                bh = heap.pop_batch(None)
-                bc = cal.pop_batch(None)
-                assert [e[:3] for e in bh] == [e[:3] for e in bc]
-                if bh:
-                    now = bh[0][0]
-                    popped = {id(e[3]) for e in bh}
-                    pending = [pair for pair in pending
-                               if id(pair[0]) not in popped]
-                heap_order.extend(e[:3] for e in bh)
-                cal_order.extend(e[:3] for e in bc)
-        heap_order.extend(e[:3] for e in drain(heap))
-        cal_order.extend(e[:3] for e in drain(cal))
-        assert heap_order == cal_order
-        assert heap.live_count() == cal.live_count() == 0
+# ------------------------------------------------------- model property
+_DELAYS = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 1.0, 4.0]),
+                    st.floats(min_value=0.0, max_value=50.0))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("push"), _DELAYS, st.sampled_from([0, 1, 1, 1])),
+    st.tuples(st.just("cancel"), st.integers(min_value=0)),
+    st.tuples(st.just("pop"),
+              st.one_of(st.none(), st.sampled_from([0.0, 0.3, 2.0]))),
+    st.tuples(st.just("requeue"), st.integers(min_value=0), st.booleans()),
+    st.tuples(st.just("pop_one")),
+    st.tuples(st.just("peek")),
+), max_size=150)
 
 
-def test_kernel_results_identical_across_schedulers():
-    """A small end-to-end simulation gives the same trace either way."""
-    def pinger(env, log):
-        for index in range(5):
-            yield env.timeout(0.3 + index * 0.1)
-            log.append((round(env.now, 6), index))
+@given(_OPS)
+@settings(max_examples=400, deadline=None)
+def test_heap_matches_sorted_model_property(ops):
+    """Random interleavings of push, push_now, priority-0 pushes,
+    tombstone cancels, ``pop_batch(until)``, urgent requeue and
+    ``pop_one``: every pop hands back exactly what a sorted list of the
+    live ``(time, priority, seq)`` keys predicts, every batch is one
+    timestamp, and ``live_count`` is exact throughout."""
+    sched = HeapScheduler()
+    model = []  # live entries, unordered
+    now = 0.0
+    seq = 0
 
-    traces = {}
-    for name in sorted(SCHEDULERS):
-        with scheduler_override(name):
-            sim = Simulator()
-        log = []
-        sim.spawn(pinger(sim, log), name="ping")
-        sim.run(until=10.0)
-        traces[name] = log
-    assert traces["heap"] == traces["calendar"]
+    def push(time, priority):
+        nonlocal seq
+        seq += 1
+        entry = (time, priority, seq, FakeEvent())
+        if time == now and priority == 1:
+            sched.push_now(time, seq, entry[3])
+        else:
+            sched.push(time, priority, seq, entry[3])
+            if priority != 1:
+                assert sched.urgent_pending
+        model.append(entry)
+
+    def expected_batch(until):
+        if not model:
+            return []
+        head = min(entry[0] for entry in model)
+        if until is not None and head > until:
+            return []
+        return sorted((e for e in model if e[0] == head),
+                      key=lambda e: e[:3])
+
+    def take(batch):
+        nonlocal now
+        assert sched.urgent_pending is False
+        if batch:
+            assert len({entry[0] for entry in batch}) == 1
+            now = batch[0][0]
+        for entry in batch:
+            model.remove(entry)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "push":
+            push(now + op[1], op[2])
+        elif kind == "cancel" and model:
+            entry = model.pop(op[1] % len(model))
+            entry[3]._cancelled = True
+            sched.tombstones += 1
+        elif kind == "pop":
+            until = None if op[1] is None else now + op[1]
+            expected = expected_batch(until)
+            batch = sched.pop_batch(until)
+            assert [e[:3] for e in batch] == [e[:3] for e in expected]
+            take(batch)
+        elif kind == "requeue":
+            # The kernel's urgent preemption: consume a prefix of the
+            # batch, an interrupt may arrive, the tail goes back.
+            expected = expected_batch(None)
+            batch = sched.pop_batch(None)
+            assert [e[:3] for e in batch] == [e[:3] for e in expected]
+            take(batch)
+            if batch:
+                cut = op[1] % len(batch)
+                tail = batch[cut:]
+                if op[2]:
+                    push(now, 0)
+                sched.requeue(tail)
+                model.extend(tail)
+        elif kind == "pop_one":
+            expected = expected_batch(None)[:1]
+            entry = sched.pop_one()
+            assert ([entry[:3]] if entry else []) == \
+                [e[:3] for e in expected]
+            take([entry] if entry else [])
+        elif kind == "peek":
+            head = min((e[0] for e in model), default=float("inf"))
+            assert sched.peek_time() == head
+        assert sched.live_count() == len(model)
+
+    # Draining what is left follows the total order, one instant a time.
+    drained = []
+    while True:
+        batch = sched.pop_batch(None)
+        if not batch:
+            break
+        assert len({entry[0] for entry in batch}) == 1
+        drained.extend(entry[:3] for entry in batch)
+    assert drained == sorted(entry[:3] for entry in model)
+    assert sched.live_count() == 0 and sched.tombstones == 0
