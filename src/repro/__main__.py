@@ -21,9 +21,9 @@ Commands:
   sanitizer installed; hazards are confirmed by deterministic flipped
   replay and any confirmed race fails the command;
 * ``bench`` — drive N concurrent users through the full transaction
-  path with the hot-path caches on and off, verify byte-identical
-  outputs, optionally sweep a goodput-vs-offered-load curve, and write
-  ``BENCH_PERF.json``;
+  path, verify the fleet (and, with ``--workers``, parallel) guards'
+  byte-identical outputs, optionally sweep a goodput-vs-offered-load
+  curve, and write ``BENCH_PERF.json``;
 * ``tables`` — print the paper's five tables as reproduced from the
   model registries (specs only — run ``pytest benchmarks/`` for the
   measured versions);
@@ -381,7 +381,6 @@ def _cmd_bench(args) -> int:
         handle.write(text + "\n")
     if args.json:
         print(text)
-    det = report["determinism"]
     fleet_det = report["fleet_determinism"]
     opt = report["optimized"]
     summary = (
@@ -389,8 +388,7 @@ def _cmd_bench(args) -> int:
         + (f" fleet={args.fleet}" if args.fleet else "")
         + f": {opt['measured']['wall_seconds']:.2f}s wall, "
         f"{opt['measured']['events_per_sec']} events/s, "
-        f"{opt['measured']['transactions_per_sec']} txn/s; "
-        f"caches on/off speedup {report['speedup_caches_on_vs_off']}"
+        f"{opt['measured']['transactions_per_sec']} txn/s"
     )
     print(summary, file=sys.stderr)
     parallel = report.get("parallel")
@@ -436,11 +434,6 @@ def _cmd_bench(args) -> int:
                 f"{1.0 - events_check['tolerance']:.0%} of "
                 f"{events_check['smallest']['events_per_sec']} events/s at "
                 f"users={events_check['smallest']['users']}")
-    if not det["identical"] or \
-            not report["identical_results_caches_on_vs_off"]:
-        failed = [name for name, ok in det["checks"].items() if not ok]
-        failures.append(f"caches changed the results "
-                        f"({', '.join(failed) or 'bench A/B'})")
     if not fleet_det["identical"]:
         failed = [name for name, ok in fleet_det["checks"].items()
                   if not ok]
@@ -461,8 +454,6 @@ def _cmd_bench(args) -> int:
         for failure in failures:
             print(f"BENCH FAILURE: {failure}", file=sys.stderr)
         return 1
-    print("determinism: caches on/off byte-identical "
-          f"({', '.join(det['checks'])})", file=sys.stderr)
     print("determinism: fleet wiring transparent "
           f"({', '.join(fleet_det['checks'])})", file=sys.stderr)
     if parallel is not None and "fallback" not in parallel:

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from ..opt import OPTIMIZATIONS
-
 __all__ = [
     "SQLSyntaxError",
     "parse",
@@ -563,15 +561,13 @@ def clear_parse_cache() -> None:
 
 def parse(text: str) -> Statement:
     """Parse one SQL statement into its AST."""
-    if OPTIMIZATIONS.sql_cache:
-        cached = _parse_cache.get(text)
-        if cached is not None:
-            return cached
+    cached = _parse_cache.get(text)
+    if cached is not None:
+        return cached
     if not text or not text.strip():
         raise SQLSyntaxError("empty statement")
     statement = _Parser(text).parse_statement()
-    if OPTIMIZATIONS.sql_cache:
-        if len(_parse_cache) >= _PARSE_CACHE_LIMIT:
-            _parse_cache.clear()
-        _parse_cache[text] = statement
+    if len(_parse_cache) >= _PARSE_CACHE_LIMIT:
+        _parse_cache.clear()
+    _parse_cache[text] = statement
     return statement

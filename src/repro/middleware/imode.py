@@ -15,7 +15,6 @@ centre does cheap tag-stripping instead of full WML transcoding.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from typing import Deque, Optional
 from urllib.parse import urlencode
@@ -25,7 +24,6 @@ from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
 from ..obs import ctx_of, end_span, start_span
-from ..opt import OPTIMIZATIONS
 from ..sim import Counter, Event, Interrupt, RandomStream
 from ..web.client import HTTPClient
 from ..web.http import HTTPRequest, HTTPResponse, RequestParser, ResponseParser
@@ -80,13 +78,6 @@ class IModeCenter:
         self.breaker = breaker
         self.origin_timeout = origin_timeout
         self.stats = Counter()
-        # Transparent cHTML adaptation cache keyed by a digest of the
-        # origin body.  Memoizes the pure is_compact / to_chtml work
-        # only — the adaptation timeout is still charged and counters
-        # still tick on hits, so the virtual timeline is unchanged.
-        # Flushed on crash and restart (cold cache after reboot).
-        self._adaptations: dict[bytes, tuple] = {}
-        self.adaptation_cache_hits = 0
         # Per-request service handicap in sim-seconds (0 = none); the
         # public knob canary "v2" variants use for degraded builds.
         self.handicap = handicap
@@ -111,7 +102,6 @@ class IModeCenter:
             return
         self.is_down = True
         self.stats.incr("crashes")
-        self._adaptations.clear()
         if self.batcher is not None:
             self.batcher.reject_pending("centre crashed")
         for conn in self._conns:
@@ -123,7 +113,6 @@ class IModeCenter:
             return
         self.is_down = False
         self.stats.incr("restarts")
-        self._adaptations.clear()
 
     def _accept_loop(self):
         while True:
@@ -221,28 +210,15 @@ class IModeCenter:
         content_type = upstream.content_type
         body = upstream.body
         if "text/html" in content_type:
-            digest = hashlib.sha1(body).digest()
-            hit = (self._adaptations.get(digest)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.adaptation_cache_hits += 1
-                compact, adapted = hit
-            else:
-                text = body.decode("utf-8", errors="replace")
-                compact = is_compact(text)
-                adapted = None if compact else to_chtml(text).encode()
-                if OPTIMIZATIONS.translation_cache:
-                    self._adaptations[digest] = (compact, adapted)
-            if compact:
+            text = body.decode("utf-8", errors="replace")
+            if is_compact(text):
                 content_type = CHTML_CONTENT_TYPE
                 self.stats.incr("passthrough")
             else:
-                # Adaptation CPU cost is charged on hits too: the cache
-                # saves host time, never virtual time.
                 yield self.sim.timeout(
                     ADAPTATION_TIME_PER_KB * max(1, len(body) // 1024)
                 )
-                body = adapted
+                body = to_chtml(text).encode()
                 content_type = CHTML_CONTENT_TYPE
                 self.stats.incr("adaptations")
         end_span(self.sim, span, delivered_bytes=len(body))

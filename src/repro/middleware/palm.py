@@ -14,7 +14,6 @@ so the interoperability matrix covers it like the other two.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from collections import deque
 from typing import Deque, Optional
@@ -24,7 +23,6 @@ from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
 from ..obs import ctx_of, end_span, start_span
-from ..opt import OPTIMIZATIONS
 from ..sim import Counter, Event, Interrupt, RandomStream, Resource
 from ..web.client import HTTPClient
 from .adaptation import extract_title, strip_tags
@@ -77,13 +75,6 @@ class WebClippingProxy:
         self.breaker = breaker
         self.origin_timeout = origin_timeout
         self.stats = Counter()
-        # Transparent clipping cache keyed by a digest of the origin
-        # HTML.  Memoizes the pure strip/truncate/zlib-compress work —
-        # the clipping timeout is still charged and counters still tick
-        # on hits, so the virtual timeline is unchanged.  Flushed on
-        # crash and restart (cold cache after reboot).
-        self._clippings: dict[bytes, tuple] = {}
-        self.clipping_cache_hits = 0
         # Per-request service handicap in sim-seconds (0 = none); the
         # public knob canary "v2" variants use for degraded builds.
         self.handicap = handicap
@@ -112,7 +103,6 @@ class WebClippingProxy:
             return
         self.is_down = True
         self.stats.incr("crashes")
-        self._clippings.clear()
         if self.batcher is not None:
             self.batcher.reject_pending("proxy crashed")
         for conn in self._conns:
@@ -124,7 +114,6 @@ class WebClippingProxy:
             return
         self.is_down = False
         self.stats.incr("restarts")
-        self._clippings.clear()
 
     def _accept_loop(self):
         while True:
@@ -222,27 +211,16 @@ class WebClippingProxy:
             if parent is not None:
                 clip_span = start_span(self.sim, "palm.clip", "middleware",
                                        parent=parent)
-            # Clipping CPU cost is charged whether or not the cache
-            # hits: the cache saves host time, never virtual time.
             yield self.sim.timeout(
                 CLIPPING_TIME_PER_KB * max(1, len(body) // 1024))
-            digest = hashlib.sha1(body).digest()
-            hit = (self._clippings.get(digest)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.clipping_cache_hits += 1
-                payload, raw_len, truncated = hit
-            else:
-                html = body.decode("utf-8", errors="replace")
-                title = extract_title(html)
-                text = strip_tags(html)
-                clipping = (f"{title}\n{text}" if title else text)
-                truncated = len(clipping.encode()) > self.byte_limit
-                raw = clipping.encode()[: self.byte_limit]
-                payload = zlib.compress(raw, level=9)
-                raw_len = len(raw)
-                if OPTIMIZATIONS.translation_cache:
-                    self._clippings[digest] = (payload, raw_len, truncated)
+            html = body.decode("utf-8", errors="replace")
+            title = extract_title(html)
+            text = strip_tags(html)
+            clipping = (f"{title}\n{text}" if title else text)
+            truncated = len(clipping.encode()) > self.byte_limit
+            raw = clipping.encode()[: self.byte_limit]
+            payload = zlib.compress(raw, level=9)
+            raw_len = len(raw)
             meta.update(clipped=True, truncated=truncated)
             self.stats.incr("clippings")
             meta["compressed_bytes"] = len(payload)

@@ -18,7 +18,6 @@ always-on.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from typing import Deque, Optional
 from urllib.parse import urlencode
@@ -28,7 +27,6 @@ from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
 from ..obs import ctx_of, end_span, start_span
-from ..opt import OPTIMIZATIONS
 from ..security.wtls import SecureChannel, SecurityError
 from ..sim import Counter, Event, Interrupt, RandomStream
 from ..web.client import HTTPClient
@@ -90,14 +88,6 @@ class WAPGateway:
         # spare the air interface); 0 disables it.
         self.cache_ttl = cache_ttl
         self._cache: dict[tuple, tuple[float, dict]] = {}
-        # Transparent WML compile cache, keyed by a digest of the origin
-        # body (plus the binary-encoding request flag).  It memoizes the
-        # pure html_to_wml / encode_wmlc work only: the translation
-        # timeout is still charged and every counter still ticks, so a
-        # hit is invisible to the virtual timeline.  Flushed on crash
-        # and restart — a rebooted gateway has a cold cache.
-        self._translations: dict[tuple, tuple] = {}
-        self.translation_cache_hits = 0
         self.stats = Counter()
         # Per-request service handicap in sim-seconds, charged before
         # handling.  0 (the default) adds no event and keeps legacy
@@ -134,7 +124,6 @@ class WAPGateway:
             return
         self.is_down = True
         self.stats.incr("crashes")
-        self._translations.clear()
         if self.batcher is not None:
             self.batcher.reject_pending("gateway crashed")
         for conn in self._conns:
@@ -146,7 +135,6 @@ class WAPGateway:
             return
         self.is_down = False
         self.stats.incr("restarts")
-        self._translations.clear()
 
     def _accept_loop(self):
         while True:
@@ -322,46 +310,23 @@ class WAPGateway:
             WMLC_CONTENT_TYPE
 
         if "text/html" in content_type:
-            # The transcoding CPU cost is charged whether or not the
-            # compile cache hits: the cache saves host time, never
-            # virtual time (same-seed runs stay byte-identical).
             yield self.sim.timeout(
                 TRANSLATION_TIME_PER_KB * max(1, len(body) // 1024)
             )
-            cache_key = ("html", hashlib.sha1(body).digest(), wants_binary)
-            hit = (self._translations.get(cache_key)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.translation_cache_hits += 1
-                body, content_type, cards = hit
+            document = html_to_wml(body.decode("utf-8", errors="replace"))
+            if wants_binary:
+                body = encode_wmlc(document)
+                content_type = WMLC_CONTENT_TYPE
             else:
-                document = html_to_wml(body.decode("utf-8", errors="replace"))
-                cards = len(document.cards)
-                if wants_binary:
-                    body = encode_wmlc(document)
-                    content_type = WMLC_CONTENT_TYPE
-                else:
-                    body = document.to_xml().encode()
-                    content_type = WML_CONTENT_TYPE
-                if OPTIMIZATIONS.translation_cache:
-                    self._translations[cache_key] = (body, content_type, cards)
+                body = document.to_xml().encode()
+                content_type = WML_CONTENT_TYPE
             meta["translated"] = True
-            meta["cards"] = cards
+            meta["cards"] = len(document.cards)
             self.stats.incr("translations")
             if wants_binary:
                 self.stats.incr("wmlc_encodings")
         elif content_type == WML_CONTENT_TYPE and wants_binary:
-            cache_key = ("wml", hashlib.sha1(body).digest(), True)
-            hit = (self._translations.get(cache_key)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.translation_cache_hits += 1
-                body = hit[0]
-            else:
-                document = parse_wml(body.decode())
-                body = encode_wmlc(document)
-                if OPTIMIZATIONS.translation_cache:
-                    self._translations[cache_key] = (body,)
+            body = encode_wmlc(parse_wml(body.decode()))
             content_type = WMLC_CONTENT_TYPE
             self.stats.incr("wmlc_encodings")
 

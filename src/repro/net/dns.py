@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..opt import OPTIMIZATIONS
 from ..sim import Event
 from .addressing import IPAddress
 from .node import Node
@@ -109,9 +108,8 @@ class DNSServer:
 class DNSResolver:
     """Client-side resolver with a TTL'd positive cache.
 
-    A cached answer is served only while all three hold: the
-    ``dns_cache`` optimization flag is on, the entry is younger than
-    ``ttl`` (virtual seconds), and — when the resolver knows its
+    A cached answer is served only while both hold: the entry is younger
+    than ``ttl`` (virtual seconds), and — when the resolver knows its
     ``authority`` registry — the registry generation has not moved since
     the entry was cached.  The generation check is what keeps the cache
     honest under the ``dns_blackout`` fault injector, which edits the
@@ -140,8 +138,6 @@ class DNSResolver:
         self.cache.clear()
 
     def _cached(self, key: str) -> Optional[IPAddress]:
-        if not OPTIMIZATIONS.dns_cache:
-            return None
         entry = self.cache.get(key)
         if entry is None:
             return None

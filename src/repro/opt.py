@@ -1,84 +1,31 @@
-"""Global toggles for the hot-path caches (the perf optimization pass).
+"""The optimisations every run carries, stated for result stamping.
 
-Every cache guarded by these flags is *transparent*: it memoizes a pure
-function of its inputs (an HTML->WML translation, a cHTML adaptation, a
-clipping compression, a SQL parse) or short-circuits a lookup whose
-answer cannot have changed (a DNS record within its TTL and registry
-generation).  Turning a flag off therefore changes how much host CPU a
-run burns, never what the simulation computes: same seed, same virtual
-timeline, byte-identical chaos reports / traces / benchmark tables.
+There are no switches.  An optimisation stays in the tree only while an
+ablation on the current tree shows it wins by more than the noise
+(DESIGN.md §10), and then it is always on:
 
-That guarantee is not taken on faith — ``repro.perf.determinism_check``
-(and the CI ``perf-smoke`` step) runs a fixed scenario with the caches
-forced on and forced off and compares the outputs bit for bit.  The
-flags exist precisely so that A/B test has something to toggle.
+* ``sql_cache`` — ``repro.db.sql.parse`` memoizes the AST per SQL text;
+* ``gc_isolation`` — ``repro.perf.GCIsolation`` freezes the host
+  interpreter's live object graph around the measured run loop.
 
-The default is everything on.  ``optimizations_disabled()`` is the
-scoped way to turn caches off; mutating :data:`OPTIMIZATIONS` directly
-is fine in a CLI entry point but discouraged in library code.
+Both touch host time only, never the virtual timeline.  Benchmark
+results record :data:`OPTIMIZATIONS` so a reader can tell which of
+them the numbers include.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-__all__ = ["OptimizationFlags", "OPTIMIZATIONS", "optimizations_disabled"]
-
-# The individual flags; each name is an OptimizationFlags slot.  The
-# three caches memoize pure computation; gc_isolation is different in
-# kind — it compacts and freezes the host interpreter's GC around the
-# measured benchmark loop (the live object graph of a large scenario
-# otherwise gets rescanned by every gen-2 collection).  It touches only
-# host wall-clock, never the virtual timeline, so it shares the same
-# transparency contract the A/B determinism check enforces.
-FLAG_NAMES = ("dns_cache", "translation_cache", "sql_cache",
-              "gc_isolation")
+__all__ = ["OPTIMIZATIONS"]
 
 
-class OptimizationFlags:
-    """One boolean per optimization; all default to enabled."""
+class _Optimizations:
+    """Read-only record of the always-on optimisations."""
 
-    __slots__ = FLAG_NAMES
-
-    def __init__(self, dns_cache: bool = True,
-                 translation_cache: bool = True,
-                 sql_cache: bool = True,
-                 gc_isolation: bool = True):
-        self.dns_cache = dns_cache
-        self.translation_cache = translation_cache
-        self.sql_cache = sql_cache
-        self.gc_isolation = gc_isolation
-
-    def set_all(self, enabled: bool) -> None:
-        for name in FLAG_NAMES:
-            setattr(self, name, enabled)
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in FLAG_NAMES}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"<OptimizationFlags {state}>"
+        return {"gc_isolation": True, "sql_cache": True}
 
 
-#: The process-wide flag set every cache consults.
-OPTIMIZATIONS = OptimizationFlags()
-
-
-@contextmanager
-def optimizations_disabled(*names: str):
-    """Disable the named cache flags (all of them when none given) for
-    the duration of the ``with`` block, restoring the previous state —
-    including on error — afterwards."""
-    targets = names or FLAG_NAMES
-    unknown = set(targets) - set(FLAG_NAMES)
-    if unknown:
-        raise ValueError(f"unknown optimization flag(s): {sorted(unknown)}")
-    saved = {name: getattr(OPTIMIZATIONS, name) for name in targets}
-    for name in targets:
-        setattr(OPTIMIZATIONS, name, False)
-    try:
-        yield OPTIMIZATIONS
-    finally:
-        for name, value in saved.items():
-            setattr(OPTIMIZATIONS, name, value)
+#: Stamped into benchmark results; it switches nothing.
+OPTIMIZATIONS = _Optimizations()

@@ -7,13 +7,15 @@ fully deterministic summary of what the virtual run computed.
 ``sweep_bench`` repeats it across user counts to draw the
 goodput-vs-offered-load curve.
 
-``determinism_check`` is the guard for the optimization pass: it runs
-fixed scenarios with the hot-path caches forced on and forced off and
-compares the outputs byte for byte.  See :mod:`repro.opt`.
+``GCIsolation`` is the host-GC policy both measured loops (``run_bench``
+and the parallel shards) run under; ``fleet_check`` and
+``parallel_check`` are the byte-identity guards for the fleet wiring and
+the parallel engine.
 """
 
-from .determinism import determinism_check, fleet_check, parallel_check
+from .determinism import fleet_check, parallel_check
 from .loadgen import (
+    GCIsolation,
     bench_deterministic,
     bench_json,
     bench_resilience,
@@ -27,6 +29,6 @@ from .report import full_bench, report_to_json
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
            "bench_deterministic", "build_bench_scenario",
-           "check_capacity_curve", "determinism_check", "fleet_check",
-           "parallel_check", "run_parallel_bench", "run_parallel_chaos",
+           "check_capacity_curve", "fleet_check", "parallel_check",
+           "GCIsolation", "run_parallel_bench", "run_parallel_chaos",
            "full_bench", "report_to_json"]

@@ -1,75 +1,24 @@
-"""A/B determinism guards: hot-path caches, fleet wiring, parallel engine.
+"""Byte-identity guards: fleet wiring and the parallel engine.
 
-Every optimization behind :data:`repro.opt.OPTIMIZATIONS` claims to be
-*transparent*: toggling it changes host CPU time, never what the
-simulation computes.  :func:`determinism_check` holds the claim to
-account — it runs fixed scenarios twice, once with every flag forced on
-and once forced off, and compares the canonical JSON output byte for
-byte.
-
-Three comparisons cover the surfaces the caches touch:
-
-* a chaos run through the ``gateway-outage`` scenario (gateway
-  translation caches plus their crash/restart flush),
-* a chaos run through ``dns-blackout`` (registry generation churn),
-* the benchmark's ``deterministic`` section (the whole transaction
-  path, kernel event totals and per-layer trace breakdown included).
+Each guard runs fixed scenarios more than one way and compares the
+canonical JSON of their ``deterministic`` sections byte for byte:
+:func:`fleet_check` for the gateway-fleet wiring (DESIGN §14) and
+:func:`parallel_check` for the conservative parallel engine (DESIGN §15).
 """
 
 from __future__ import annotations
 
 import json
 
-from ..faults.chaos import report_json, run_chaos
-from ..opt import OPTIMIZATIONS, optimizations_disabled
 from .loadgen import run_bench
 
-__all__ = ["determinism_check", "fleet_check", "parallel_check"]
+__all__ = ["fleet_check", "parallel_check"]
 
 
 def _bench_bytes(users: int, seed: int, fleet: int = 0) -> str:
     report = run_bench(users=users, seed=seed, horizon=120.0,
                        transactions_per_user=3, fleet=fleet)
     return json.dumps(report["deterministic"], indent=2, sort_keys=True)
-
-
-def _chaos_bytes(scenario: str, seed: int) -> str:
-    return report_json(run_chaos(scenario=scenario, seed=seed,
-                                 intensity=0.6, stations=3,
-                                 transactions_per_station=4,
-                                 horizon=120.0))
-
-
-def determinism_check(users: int = 20, seed: int = 7) -> dict:
-    """Run the caches-on/off A/B comparison; returns a verdict dict.
-
-    ``identical`` is True only when every scenario produced the same
-    bytes with the caches on and off.  The per-check map names any
-    offender so a CI failure is self-describing.
-    """
-    scenarios = {
-        "bench": lambda: _bench_bytes(users, seed),
-        "chaos-gateway-outage": lambda: _chaos_bytes("gateway-outage", seed),
-        "chaos-dns-blackout": lambda: _chaos_bytes("dns-blackout", seed),
-    }
-    checks: dict[str, bool] = {}
-    for name, produce in scenarios.items():
-        saved = OPTIMIZATIONS.as_dict()
-        try:
-            OPTIMIZATIONS.set_all(True)
-            optimized = produce()
-            with optimizations_disabled():
-                baseline = produce()
-        finally:
-            for flag, value in saved.items():
-                setattr(OPTIMIZATIONS, flag, value)
-        checks[name] = optimized == baseline
-    return {
-        "identical": all(checks.values()),
-        "checks": checks,
-        "users": users,
-        "seed": seed,
-    }
 
 
 def fleet_check(users: int = 20, seed: int = 7) -> dict:

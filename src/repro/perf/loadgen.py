@@ -12,8 +12,8 @@ The report has two sections with different guarantees:
 
 * ``deterministic`` — everything derived from the virtual run (counts,
   latency percentiles, per-layer seconds, kernel event totals).  Same
-  seed, same bytes; the A/B determinism check compares exactly this
-  section with the caches on and off.
+  seed, same bytes; every byte-identity guard compares exactly this
+  section.
 * ``measured`` — host wall-clock figures (seconds, events/sec,
   transactions/sec).  Honest but machine-dependent, so excluded from
   byte comparisons.
@@ -32,12 +32,11 @@ from ..core import MCSystemBuilder, TransactionEngine
 from ..faults.chaos import DEFAULT_DEVICE, percentile
 from ..fleet import fleet_report
 from ..obs import install_tracer, layer_breakdown
-from ..opt import OPTIMIZATIONS
 from ..resilience import ResilienceConfig
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
            "check_capacity_curve", "build_bench_scenario",
-           "bench_deterministic"]
+           "bench_deterministic", "GCIsolation"]
 
 
 def bench_resilience() -> ResilienceConfig:
@@ -268,6 +267,40 @@ def build_bench_scenario(users: int = 50, seed: int = 7,
     return scenario
 
 
+# Virtual-time slices of run_bench's measured loop; GCIsolation
+# re-freezes at each slice boundary.
+BENCH_SLICES = 96
+
+
+class GCIsolation:
+    """The host-GC policy around a measured run loop (DESIGN §11).
+
+    Entering compacts the heap and freezes the live object graph into
+    the permanent generation: a 500-user scenario's live graph
+    (retained spans, open connections, station state) is otherwise
+    rescanned by every gen-2 collection, and that scanning dominates
+    wall time at scale.  Objects allocated *after* a freeze are still
+    collector-visible, so one up-front freeze decays as the run
+    accumulates survivors; the loop therefore runs in virtual-time
+    slices (or windows) and calls :meth:`refreeze` at each boundary.
+    Stopping and resuming the kernel's dispatch loop is observably
+    identical to one ``run`` call, so the virtual run is unaffected.
+    Leaving the ``with`` block unfreezes on every exit path, a failed
+    run included.
+    """
+
+    def __enter__(self) -> "GCIsolation":
+        gc.collect()
+        self.refreeze()
+        return self
+
+    def refreeze(self) -> None:
+        gc.freeze()
+
+    def __exit__(self, *exc_info) -> None:
+        gc.unfreeze()
+
+
 def run_bench(users: int = 50, seed: int = 7,
               transactions_per_user: int = 4,
               horizon: float = 240.0,
@@ -307,44 +340,21 @@ def run_bench(users: int = 50, seed: int = 7,
     if post_build is not None:
         post_build(system, engine)
 
-    # With gc_isolation on, compact the heap once and freeze the live
-    # object graph into the permanent generation, then re-freeze at
-    # regular virtual-time slices: a 500-user scenario's live graph
-    # (retained spans, open connections, station state) is otherwise
-    # rescanned by every gen-2 collection inside the measured loop, and
-    # that scanning dominates wall time at scale.  Slicing matters
-    # because objects allocated *after* a freeze are still collector-
-    # visible, so one up-front freeze decays as the run accumulates
-    # survivors.  Running to ``horizon`` in slices is observably
-    # identical to one ``run`` call (the kernel just stops and resumes
-    # the dispatch loop), so the virtual run — and the deterministic
-    # report section — is unaffected; this trades host-clock GC pauses
-    # for leaving the measured loop's garbage uncollected until the end.
-    gc_isolated = OPTIMIZATIONS.gc_isolation
-    if gc_isolated:
-        gc.collect()
-        gc.freeze()
-        slices = 96
-    else:
-        slices = 1
-    try:
+    with GCIsolation() as isolation:
         started = time.perf_counter()  # repro: noqa[wall-clock]
-        for step in range(1, slices + 1):
-            until = horizon if step == slices else horizon * step / slices
+        for step in range(1, BENCH_SLICES + 1):
+            until = (horizon if step == BENCH_SLICES
+                     else horizon * step / BENCH_SLICES)
             system.run(until=until)
-            if gc_isolated and step < slices:
-                gc.freeze()
+            if step < BENCH_SLICES:
+                isolation.refreeze()
         wall_seconds = time.perf_counter() - started  # repro: noqa[wall-clock]
-    finally:
-        if gc_isolated:
-            gc.unfreeze()
 
     deterministic = bench_deterministic(scenario)
     events = system.sim.events_processed
     records = engine.completed
     report = {
         "deterministic": deterministic,
-        "optimizations": OPTIMIZATIONS.as_dict(),
         "measured": {
             "wall_seconds": round(wall_seconds, 4),
             "events_per_sec": (round(events / wall_seconds)

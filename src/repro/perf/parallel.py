@@ -9,7 +9,7 @@ which OS process hosts it — so running the same decomposition under 1,
 enforced by ``parallel_check``.
 
 The merged report keeps the sequential report's shape (``deterministic``
-/ ``optimizations`` / ``measured``) and adds a
+/ ``measured``) and adds a
 ``deterministic.parallel`` subsection (partition, cut, merge-point
 totals, canonical state hash).  With one shard the deterministic
 section minus that subsection is byte-identical to plain
@@ -20,19 +20,18 @@ anchor the test suite pins.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import os
 import time
 from typing import Optional
 
 from ..faults.chaos import (DEFAULT_DEVICE, build_chaos_scenario,
                             chaos_report, percentile, run_chaos)
-from ..opt import OPTIMIZATIONS
 from ..sim.parallel import (PartitionError, canonical_state_hash,
                             merge_samples, merge_window_log,
                             plan_partition, run_partitioned)
 from ..sim.parallel.merge import conservation_check
-from .loadgen import bench_deterministic, build_bench_scenario, run_bench
+from .loadgen import (GCIsolation, bench_deterministic, build_bench_scenario,
+                      run_bench)
 
 __all__ = ["run_parallel_bench", "run_parallel_chaos"]
 
@@ -55,7 +54,12 @@ def _bench_merge_totals(scenario) -> dict:
 
 
 class _ShardBase:
-    """Windowed adapter around a built scenario (bench or chaos)."""
+    """Windowed adapter around a built scenario (bench or chaos).
+
+    The engine enters the shard once it is built and leaves it on every
+    exit path; in between, the shard holds the sequential measured
+    loop's GC isolation and re-freezes at each window boundary.
+    """
 
     def __init__(self, spec, scenario):
         self.spec = spec
@@ -65,12 +69,14 @@ class _ShardBase:
         # balances), so window deltas carry only what the run changed.
         self._last_totals: dict = self.merge_totals()
         self._run_seconds = 0.0
-        # Same GC isolation discipline as the sequential measured loop:
-        # freeze the live graph once, re-freeze at window boundaries.
-        self._gc_isolated = OPTIMIZATIONS.gc_isolation
-        if self._gc_isolated:
-            gc.collect()
-            gc.freeze()
+        self._gc = GCIsolation()
+
+    def __enter__(self) -> "_ShardBase":
+        self._gc.__enter__()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._gc.__exit__(*exc_info)
 
     def merge_totals(self) -> dict:
         raise NotImplementedError
@@ -79,8 +85,8 @@ class _ShardBase:
         started = time.perf_counter()  # repro: noqa[wall-clock]
         self.scenario.system.run(until=until)
         self._run_seconds += time.perf_counter() - started  # repro: noqa[wall-clock]
-        if self._gc_isolated and until < self.horizon:
-            gc.freeze()
+        if until < self.horizon:
+            self._gc.refreeze()
         totals = self.merge_totals()
         deltas = []
         for key in sorted(totals):
@@ -101,8 +107,6 @@ class _ShardBase:
         }
 
     def finish(self) -> dict:
-        if self._gc_isolated:
-            gc.unfreeze()
         payload = self._payload()
         payload["shard"] = self.spec.shard_id
         payload["merge_totals"] = self.merge_totals()
@@ -229,8 +233,7 @@ def run_parallel_bench(users: int = 50, seed: int = 7,
     specs = [dataclasses.replace(spec, params=params)
              for spec in plan.shards]
     run = run_partitioned(specs, _make_bench_shard, horizon=horizon,
-                          windows=plan.windows, workers=workers,
-                          opt_flags=OPTIMIZATIONS.as_dict())
+                          windows=plan.windows, workers=workers)
     merged_log = merge_window_log(run["window_log"])
     # Shard deltas are measured against the pre-run baseline, so the
     # accumulated window log must equal (final - initial) per key.
@@ -253,7 +256,6 @@ def run_parallel_bench(users: int = 50, seed: int = 7,
     wall = run["wall_seconds"]
     return {
         "deterministic": deterministic,
-        "optimizations": OPTIMIZATIONS.as_dict(),
         "measured": {
             "wall_seconds": round(wall, 4),
             "total_seconds": round(run["total_seconds"], 4),
@@ -394,8 +396,7 @@ def run_parallel_chaos(scenario: str = "storm", seed: int = 0,
     specs = [dataclasses.replace(spec, params=params)
              for spec in cut.shards]
     run = run_partitioned(specs, _make_chaos_shard, horizon=horizon,
-                          windows=cut.windows, workers=workers,
-                          opt_flags=OPTIMIZATIONS.as_dict())
+                          windows=cut.windows, workers=workers)
     merged_log = merge_window_log(run["window_log"])
     return _merge_chaos_reports(run, params, cut, merged_log)
 

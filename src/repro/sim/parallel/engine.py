@@ -3,7 +3,9 @@
 The coordinator owns a :class:`~.partition.CutPlan`'s shard specs and a
 *factory* (a picklable top-level callable ``spec -> shard``).  A shard
 object wraps one fully built scenario around today's sequential
-:class:`~repro.sim.kernel.Simulator` and exposes two methods:
+:class:`~repro.sim.kernel.Simulator`.  It is a context manager — the
+engine enters it once built and leaves it on every exit path, failed
+windows included — and exposes two methods:
 
 * ``advance(window, until) -> dict`` — run the shard's simulator to
   virtual time ``until`` and return a picklable window report (clock,
@@ -38,7 +40,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from typing import Callable, Optional
+from contextlib import ExitStack
+from typing import Callable
 
 __all__ = ["ParallelExecutionError", "run_partitioned"]
 
@@ -54,28 +57,26 @@ def _window_boundaries(horizon: float, windows: int) -> list:
             for k in range(1, windows + 1)]
 
 
-def _worker_main(conn, factory, specs, opt_flags) -> None:
+def _worker_main(conn, factory, specs) -> None:
     """Worker process loop: build the assigned shards, serve grants."""
     try:
-        if opt_flags:
-            from ...opt import OPTIMIZATIONS
-            for name, value in opt_flags.items():
-                setattr(OPTIMIZATIONS, name, value)
-        shards = [factory(spec) for spec in specs]
-        conn.send(("ready", [spec.shard_id for spec in specs]))
-        while True:
-            message = conn.recv()
-            if message[0] == "advance":
-                _, window, until = message
-                conn.send(("window",
-                           [shard.advance(window, until)
-                            for shard in shards]))
-            elif message[0] == "finish":
-                conn.send(("done", [shard.finish() for shard in shards]))
-            elif message[0] == "stop":
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown message {message[0]!r}")
+        with ExitStack() as stack:
+            shards = [stack.enter_context(factory(spec)) for spec in specs]
+            conn.send(("ready", [spec.shard_id for spec in specs]))
+            while True:
+                message = conn.recv()
+                if message[0] == "advance":
+                    _, window, until = message
+                    conn.send(("window",
+                               [shard.advance(window, until)
+                                for shard in shards]))
+                elif message[0] == "finish":
+                    conn.send(("done",
+                               [shard.finish() for shard in shards]))
+                elif message[0] == "stop":
+                    return
+                else:  # pragma: no cover - protocol misuse
+                    raise RuntimeError(f"unknown message {message[0]!r}")
     except EOFError:  # coordinator died; exit quietly
         pass
     except BaseException:  # repro: noqa[broad-except] — process boundary: any worker failure must be reported over the pipe, not lost to a silent exit code
@@ -95,8 +96,7 @@ def _mp_context():
 
 
 def run_partitioned(specs: list, factory: Callable, horizon: float,
-                    windows: int, workers: int = 1,
-                    opt_flags: Optional[dict] = None) -> dict:
+                    windows: int, workers: int = 1) -> dict:
     """Execute the shard specs under window synchronisation.
 
     Returns ``{"payloads", "window_log", "mode", "workers",
@@ -113,25 +113,22 @@ def run_partitioned(specs: list, factory: Callable, horizon: float,
     boundaries = _window_boundaries(horizon, windows)
     workers = max(1, min(int(workers), len(specs)))
     if workers == 1:
-        return _run_lockstep(specs, factory, boundaries, opt_flags)
-    return _run_processes(specs, factory, boundaries, workers, opt_flags)
+        return _run_lockstep(specs, factory, boundaries)
+    return _run_processes(specs, factory, boundaries, workers)
 
 
-def _run_lockstep(specs, factory, boundaries, opt_flags) -> dict:
+def _run_lockstep(specs, factory, boundaries) -> dict:
     """Single-process debug mode: same windows, shard-order interleave."""
-    if opt_flags:
-        from ...opt import OPTIMIZATIONS
-        for name, value in opt_flags.items():
-            setattr(OPTIMIZATIONS, name, value)
     build_started = time.perf_counter()  # repro: noqa[wall-clock]
-    shards = [factory(spec) for spec in specs]
-    started = time.perf_counter()  # repro: noqa[wall-clock]
-    window_log = []
-    for window, until in enumerate(boundaries, start=1):
-        reports = [shard.advance(window, until) for shard in shards]
-        window_log.append({"window": window, "until": until,
-                           "reports": reports})
-    payloads = [shard.finish() for shard in shards]
+    with ExitStack() as stack:
+        shards = [stack.enter_context(factory(spec)) for spec in specs]
+        started = time.perf_counter()  # repro: noqa[wall-clock]
+        window_log = []
+        for window, until in enumerate(boundaries, start=1):
+            reports = [shard.advance(window, until) for shard in shards]
+            window_log.append({"window": window, "until": until,
+                               "reports": reports})
+        payloads = [shard.finish() for shard in shards]
     finished = time.perf_counter()  # repro: noqa[wall-clock]
     return {
         "payloads": payloads,
@@ -144,7 +141,7 @@ def _run_lockstep(specs, factory, boundaries, opt_flags) -> dict:
     }
 
 
-def _run_processes(specs, factory, boundaries, workers, opt_flags) -> dict:
+def _run_processes(specs, factory, boundaries, workers) -> dict:
     """Multiprocess mode: shards dealt round-robin onto worker pipes."""
     context = _mp_context()
     assignments = [specs[index::workers] for index in range(workers)]
@@ -156,7 +153,7 @@ def _run_processes(specs, factory, boundaries, workers, opt_flags) -> dict:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, factory, chunk, dict(opt_flags or {})),
+                args=(child_conn, factory, chunk),
                 daemon=True)
             process.start()
             child_conn.close()

@@ -273,21 +273,3 @@ def test_dns_cache_not_stale_across_blackout():
     assert answers == [(1.0, expected), (2.0, expected),
                        (6.0, None), (12.0, expected)]
     assert resolver.hits == 1  # only the pre-blackout repeat was cached
-
-
-def test_gateway_crash_flushes_translation_cache():
-    """A restarted gateway must not reuse pre-crash translations."""
-    system, shop, handles = _world()
-    system.host.payment.open_account("ann", 100_000)
-    engine = TransactionEngine(system)
-    done = engine.run_flow(handles[0],
-                           shop.browse_and_buy(account="ann", user="ann"))
-    plan = FaultPlan()
-    plan.add("gateway_crash", at=60.0, duration=5.0)
-    FaultEngine(system, plan).start()
-    seen = []
-    _probe(system, 59.0, lambda: len(system.gateway._translations) > 0, seen)
-    _probe(system, 61.0, lambda: len(system.gateway._translations), seen)
-    system.run(until=120)
-    assert done.value.ok
-    assert seen == [(59.0, True), (61.0, 0)]

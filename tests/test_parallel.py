@@ -11,6 +11,7 @@ shard-local or a declared merge point, and anything else degrades to
 the sequential runner instead of silently computing something new.
 """
 
+import gc
 import json
 
 import pytest
@@ -18,7 +19,11 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.perf import run_bench
 from repro.perf.loadgen import check_capacity_curve
-from repro.perf.parallel import run_parallel_bench, run_parallel_chaos
+from repro.perf.parallel import (
+    _ShardBase,
+    run_parallel_bench,
+    run_parallel_chaos,
+)
 from repro.sim.parallel import (
     PartitionError,
     accumulate_deltas,
@@ -233,6 +238,27 @@ def test_fleet_scenario_falls_back_to_sequential():
     # The fallback *is* the sequential report, not an approximation.
     sequential = run_bench(fleet=1, **BENCH)
     assert _det_bytes(report) == _det_bytes(sequential)
+
+
+def test_failed_lockstep_run_leaves_gc_unfrozen(monkeypatch):
+    """Shards freeze the host GC for their windows; a window that raises
+    must not leave the rest of the process running frozen."""
+    advance = _ShardBase.advance
+
+    def fails_in_window_2(self, window, until):
+        if window == 2:
+            raise RuntimeError("planted shard failure")
+        return advance(self, window, until)
+
+    monkeypatch.setattr(_ShardBase, "advance", fails_in_window_2)
+    try:
+        with pytest.raises(RuntimeError, match="planted shard failure"):
+            run_parallel_bench(users=4, seed=7, transactions_per_user=1,
+                               horizon=30.0, workers=1, shards=2)
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert frozen == 0
 
 
 # ------------------------------------- events/s sweep regression check

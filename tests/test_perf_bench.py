@@ -1,48 +1,25 @@
-"""Tests for repro.perf: the load benchmark, the optimization flags,
-and the caches-on/off determinism guard."""
+"""Tests for repro.perf: the load benchmark, its sliced measured loop,
+and the transparency of the always-on SQL parse cache."""
 
 import json
 
 import pytest
 
-from repro.opt import FLAG_NAMES, OPTIMIZATIONS, optimizations_disabled
+from repro.db import sql
+from repro.faults import report_json, run_chaos
 from repro.perf import (
+    bench_deterministic,
     bench_json,
-    determinism_check,
+    build_bench_scenario,
     run_bench,
     sweep_bench,
 )
+from repro.perf.loadgen import BENCH_SLICES
 
 SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0)
-
-
-# ------------------------------------------------------------- opt flags
-def test_flags_default_on_and_context_restores():
-    assert all(OPTIMIZATIONS.as_dict().values())
-    with optimizations_disabled():
-        assert not any(OPTIMIZATIONS.as_dict().values())
-    assert all(OPTIMIZATIONS.as_dict().values())
-
-
-def test_flags_partial_disable():
-    with optimizations_disabled("dns_cache"):
-        flags = OPTIMIZATIONS.as_dict()
-        assert flags["dns_cache"] is False
-        others = {k: v for k, v in flags.items() if k != "dns_cache"}
-        assert all(others.values())
-    assert OPTIMIZATIONS.dns_cache is True
-
-
-def test_flags_reject_unknown_names():
-    with pytest.raises(ValueError):
-        with optimizations_disabled("hyperdrive"):
-            pass
-    assert all(OPTIMIZATIONS.as_dict().values())
-
-
-def test_flag_catalogue_matches_slots():
-    assert set(FLAG_NAMES) == {"dns_cache", "translation_cache", "sql_cache",
-                               "gc_isolation"}
+GATEWAY_OUTAGE = dict(scenario="gateway-outage", seed=11, intensity=0.6,
+                      stations=3, transactions_per_station=4,
+                      horizon=120.0)
 
 
 # ------------------------------------------------------------- the bench
@@ -63,7 +40,6 @@ def test_run_bench_report_shape_and_health():
     measured = report["measured"]
     assert measured["wall_seconds"] > 0
     assert measured["events_per_sec"] > 0
-    assert report["optimizations"] == OPTIMIZATIONS.as_dict()
 
 
 def test_run_bench_rejects_bad_parameters():
@@ -87,26 +63,46 @@ def test_bench_json_is_canonical():
     assert text == bench_json(json.loads(text))
 
 
-# ------------------------------------------------- determinism A/B guard
-def test_caches_on_and_off_give_identical_bench_results():
-    """The tentpole invariant: every optimization is transparent."""
-    cached = run_bench(**SMALL)
-    with optimizations_disabled():
-        uncached = run_bench(**SMALL)
-    assert json.dumps(cached["deterministic"], sort_keys=True) == \
-        json.dumps(uncached["deterministic"], sort_keys=True)
-    # The runs really did take different code paths.
-    assert cached["optimizations"] != uncached["optimizations"]
+# ------------------------------------------------ transparency guards
+def test_sliced_run_equals_single_run():
+    """run_bench runs the kernel in BENCH_SLICES virtual-time slices
+    (GC isolation re-freezes at each boundary); the result must be the
+    bytes of one run to the horizon."""
+    horizon = SMALL["horizon"]
+    whole = build_bench_scenario(**SMALL)
+    whole.system.run(until=horizon)
+    sliced = build_bench_scenario(**SMALL)
+    for step in range(1, BENCH_SLICES + 1):
+        sliced.system.run(until=(horizon if step == BENCH_SLICES
+                                 else horizon * step / BENCH_SLICES))
+    assert sliced.system.sim.now == whole.system.sim.now == horizon
+    assert json.dumps(bench_deterministic(sliced), indent=2,
+                      sort_keys=True) == \
+        json.dumps(bench_deterministic(whole), indent=2, sort_keys=True)
 
 
-def test_determinism_check_verdict():
-    verdict = determinism_check(users=5, seed=11)
-    assert verdict["identical"] is True
-    assert set(verdict["checks"]) == {
-        "bench", "chaos-gateway-outage", "chaos-dns-blackout"}
-    assert all(verdict["checks"].values())
-    # The guard restores the flags it toggled.
-    assert all(OPTIMIZATIONS.as_dict().values())
+class _StoresNothing(dict):
+    """A parse cache that keeps no entry, so every parse is a miss."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_parse_cache_is_transparent(monkeypatch):
+    """The SQL parse cache saves host time only: the bench and a
+    gateway-outage chaos run give the same bytes when no parse is
+    ever served from it."""
+    def produce() -> tuple:
+        bench = run_bench(**SMALL)["deterministic"]
+        return (json.dumps(bench, indent=2, sort_keys=True),
+                report_json(run_chaos(**GATEWAY_OUTAGE)))
+
+    cached = produce()
+    assert sql._parse_cache, "the normal run should fill the cache"
+    uncached = _StoresNothing()
+    monkeypatch.setattr(sql, "_parse_cache", uncached)
+    assert produce() == cached
+    assert len(uncached) == 0
 
 
 # ----------------------------------------------------------------- sweep
