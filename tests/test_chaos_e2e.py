@@ -90,3 +90,15 @@ def test_same_seed_gives_byte_identical_report(tmp_path):
     assert report["scenario"] == "storm"
     assert report["seed"] == 11
     assert report["plan"], "storm scenario should schedule faults"
+
+
+def test_chaos_report_identical_with_caches_off(disable_parse_cache):
+    """The SQL parse cache must be invisible in chaos reports: the same
+    gateway-outage run (crash/restart included) produces the same bytes
+    when no parse is ever served from the cache."""
+    from repro.faults import report_json
+
+    cached = report_json(run_chaos(policies=True, **_OUTAGE))
+    uncached = disable_parse_cache()
+    assert report_json(run_chaos(policies=True, **_OUTAGE)) == cached
+    assert len(uncached) == 0

@@ -17,9 +17,8 @@ from repro.perf import (
 from repro.perf.loadgen import BENCH_SLICES
 
 SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0)
-GATEWAY_OUTAGE = dict(scenario="gateway-outage", seed=11, intensity=0.6,
-                      stations=3, transactions_per_station=4,
-                      horizon=120.0)
+DNS_BLACKOUT = dict(scenario="dns-blackout", seed=11, intensity=0.6,
+                    stations=3, transactions_per_station=4, horizon=120.0)
 
 
 # ------------------------------------------------------------- the bench
@@ -81,27 +80,28 @@ def test_sliced_run_equals_single_run():
         json.dumps(bench_deterministic(whole), indent=2, sort_keys=True)
 
 
-class _StoresNothing(dict):
-    """A parse cache that keeps no entry, so every parse is a miss."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def test_parse_cache_is_transparent(monkeypatch):
-    """The SQL parse cache saves host time only: the bench and a
-    gateway-outage chaos run give the same bytes when no parse is
-    ever served from it."""
-    def produce() -> tuple:
-        bench = run_bench(**SMALL)["deterministic"]
-        return (json.dumps(bench, indent=2, sort_keys=True),
-                report_json(run_chaos(**GATEWAY_OUTAGE)))
+def test_caches_on_and_off_give_identical_bench_results(disable_parse_cache):
+    """The SQL parse cache saves host time only: the bench gives the
+    same bytes when no parse is ever served from it."""
+    def produce() -> str:
+        return json.dumps(run_bench(**SMALL)["deterministic"], indent=2,
+                          sort_keys=True)
 
     cached = produce()
     assert sql._parse_cache, "the normal run should fill the cache"
-    uncached = _StoresNothing()
-    monkeypatch.setattr(sql, "_parse_cache", uncached)
+    uncached = disable_parse_cache()
     assert produce() == cached
+    # The second run really did parse every statement afresh.
+    assert len(uncached) == 0
+
+
+def test_determinism_check_verdict(disable_parse_cache):
+    """The chaos arm that the bench and gateway-outage tests leave out:
+    a dns-blackout run (registry generation churn against the resolver's
+    TTL cache) gives the same bytes with the parse cache off."""
+    cached = report_json(run_chaos(**DNS_BLACKOUT))
+    uncached = disable_parse_cache()
+    assert report_json(run_chaos(**DNS_BLACKOUT)) == cached
     assert len(uncached) == 0
 
 
