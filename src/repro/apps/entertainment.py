@@ -12,12 +12,23 @@ from ..security import PaymentError, PaymentOrder
 from ..web import HTTPResponse, render
 from .base import Application, html_page
 
-__all__ = ["EntertainmentApp"]
+__all__ = ["EntertainmentApp", "media_payload"]
 
 STORE_TEMPLATE = """<html><head><title>Media Store</title></head><body>
 <h1>Store</h1>
 {% for m in media %}<p><a href="/media/download?id={{ m.id }}&account={{ account }}">{{ m.title }}</a> ({{ m.kind }}, {{ m.size_kb }} KB, ${{ m.price }})</p>{% endfor %}
 </body></html>"""
+
+
+def media_payload(media_id: int, size: int) -> bytes:
+    """The title's bytes: ``(media_id * 31 + i) % 251`` at offset ``i``.
+
+    Built by tiling one 251-byte period that starts at the title's
+    offset, not byte by byte.
+    """
+    offset = (media_id * 31) % 251
+    period = bytes(range(offset, 251)) + bytes(range(offset))
+    return (period * (size // 251 + 1))[:size]
 
 
 class EntertainmentApp(Application):
@@ -96,9 +107,7 @@ class EntertainmentApp(Application):
             "VALUES (?, ?, ?)",
             (authorization.auth_id, media_id, account))
         # The actual bits: a payload that must cross the bearer.
-        payload = bytes(
-            (media_id * 31 + i) % 251 for i in range(title["size_kb"] * 1024)
-        )
+        payload = media_payload(media_id, title["size_kb"] * 1024)
         return HTTPResponse(200, {
             "content-type": "application/octet-stream",
             "x-license": str(authorization.auth_id),

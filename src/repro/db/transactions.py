@@ -10,7 +10,7 @@ timeouts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..sim import Event, Simulator
@@ -56,10 +56,23 @@ class _TableLock:
 
 @dataclass
 class _UndoRecord:
+    """Before-image of one table, append-only until it must not be.
+
+    Inserts only append new row dicts, so the first ``length`` rows are
+    the pre-transaction rows, untouched, until an UPDATE or DELETE
+    mutates or removes one; ``saved_rows`` copies them just before the
+    first UPDATE, DELETE or CREATE INDEX.
+    """
+
     table: Table
-    saved_rows: list[dict]
-    saved_pk_index: dict
-    saved_indexes: dict
+    length: int
+    index_names: list[str]
+    saved_rows: Optional[list[dict]] = None
+
+    def before_rows(self) -> list[dict]:
+        if self.saved_rows is not None:
+            return self.saved_rows
+        return self.table.rows[:self.length]
 
 
 class TransactionManager:
@@ -171,7 +184,8 @@ class Transaction:
                     yield self.manager.acquire(self, table_name,
                                                exclusive=writes)
                 if writes and table_name in self.manager.database.tables:
-                    self._snapshot(table_name)
+                    self._snapshot(table_name, copy_rows=isinstance(
+                        statement, (Update, Delete, CreateIndex)))
                 outcome = self._executor.execute(statement, params)
             except (DeadlockError, TransactionError, QueryError,
                     SchemaError, IntegrityError) as exc:
@@ -183,20 +197,18 @@ class Transaction:
         sim.spawn(run(sim), name=f"txn{self.txn_id}-exec")
         return result
 
-    def _snapshot(self, table_name: str) -> None:
-        """Record a before-image of the table, once per transaction."""
-        if table_name in self._undo:
-            return
-        table = self.manager.database.table(table_name)
-        self._undo[table_name] = _UndoRecord(
-            table=table,
-            saved_rows=[dict(row) for row in table.rows],
-            saved_pk_index=dict(table._pk_index),
-            saved_indexes={
-                name: {value: list(bucket) for value, bucket in index.items()}
-                for name, index in table._indexes.items()
-            },
-        )
+    def _snapshot(self, table_name: str, copy_rows: bool) -> None:
+        """Record the table's before-image on the transaction's first
+        write to it; copy its rows before the first statement that may
+        change or remove one (``copy_rows``)."""
+        record = self._undo.get(table_name)
+        if record is None:
+            table = self.manager.database.table(table_name)
+            record = self._undo[table_name] = _UndoRecord(
+                table=table, length=len(table.rows),
+                index_names=list(table._indexes))
+        if copy_rows and record.saved_rows is None:
+            record.saved_rows = [dict(row) for row in record.before_rows()]
 
     # -- outcome ----------------------------------------------------------
     def commit(self) -> None:
@@ -213,12 +225,12 @@ class Transaction:
         self.state = Transaction.ABORTED
         for record in self._undo.values():
             table = record.table
-            table.rows = [dict(row) for row in record.saved_rows]
+            table.rows = [dict(row) for row in record.before_rows()]
             table._pk_index = {
                 row[table.primary_key.name]: row for row in table.rows
             } if table.primary_key else {}
             rebuilt: dict[str, dict] = {}
-            for index_name in record.saved_indexes:
+            for index_name in record.index_names:
                 index: dict = {}
                 for row in table.rows:
                     index.setdefault(row[index_name], []).append(row)

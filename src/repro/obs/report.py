@@ -12,6 +12,7 @@ end-to-end latency — the consistency property the trace CLI asserts.
 
 from __future__ import annotations
 
+import bisect
 import json
 from typing import Iterable, Optional
 
@@ -108,19 +109,31 @@ def layer_breakdown(tracer_or_spans, trace_id: Optional[int] = None,
         end = min(span.end if span.end is not None else hi, hi)
         if end > start:
             clipped.append((start, end, depths[span.span_id], span))
+    clipped.sort(key=lambda entry: entry[0])
 
     boundaries = sorted({t for start, end, _, _ in clipped
                          for t in (start, end)})
+    # Sweep the boundaries once.  ``active`` is kept sorted by the
+    # winner key — deepest, then latest-started, then newest span — so
+    # the winner is ``active[-1]``; spans that have ended are dropped
+    # lazily, only once they reach the top.
+    active: list[tuple[int, float, int, float, str]] = []
     totals: dict[str, float] = {}
+    pending = 0
     for left, right in zip(boundaries, boundaries[1:]):
-        covering = [
-            (depth, span.start, span.span_id, span)
-            for start, end, depth, span in clipped
-            if start <= left and end >= right
-        ]
-        # Deepest wins; ties go to the latest-started, then newest span.
-        _, _, _, winner = max(covering)
-        totals[winner.layer] = totals.get(winner.layer, 0.0) + (right - left)
+        while pending < len(clipped) and clipped[pending][0] <= left:
+            _, end, depth, span = clipped[pending]
+            bisect.insort(active, (depth, span.start, span.span_id, end,
+                                   span.layer))
+            pending += 1
+        while active and active[-1][3] <= left:
+            active.pop()
+        if not active:
+            raise ValueError(f"no span covers [{left}, {right}]")
+        layer = active[-1][4]
+        # One charge per elementary interval, in boundary order: merging
+        # equal-winner neighbours would change the float rounding.
+        totals[layer] = totals.get(layer, 0.0) + (right - left)
     return totals
 
 

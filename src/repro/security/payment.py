@@ -69,6 +69,8 @@ class PaymentProcessor:
         self.accounts: dict[str, int] = {}       # account -> balance (cents)
         self.merchant_keys: dict[str, bytes] = {}
         self.authorizations: dict[int, Authorization] = {}
+        # account -> cents held by its open ("authorized") holds.
+        self._held: dict[str, int] = {}
         self._seen_nonces: set[str] = set()
         # Processor-local counter: a module-level one made auth ids (which
         # ride in SQL params and confirmation pages, hence packet sizes)
@@ -115,8 +117,7 @@ class PaymentProcessor:
         if balance is None:
             self.stats.incr("declined_no_account")
             raise PaymentError(f"no account {order.account!r}")
-        held = sum(a.amount_cents for a in self.authorizations.values()
-                   if a.account == order.account and a.state == "authorized")
+        held = self._held.get(order.account, 0)
         if balance - held < order.amount_cents:
             self.stats.incr("declined_insufficient")
             raise PaymentError("insufficient funds")
@@ -128,6 +129,7 @@ class PaymentProcessor:
             amount_cents=order.amount_cents,
         )
         self.authorizations[authorization.auth_id] = authorization
+        self._held[order.account] = held + order.amount_cents
         self.stats.incr("authorized")
         return authorization
 
@@ -135,6 +137,7 @@ class PaymentProcessor:
         """Settle a hold; returns the new account balance."""
         authorization = self._active(auth_id)
         authorization.state = "captured"
+        self._held[authorization.account] -= authorization.amount_cents
         self.accounts[authorization.account] -= authorization.amount_cents
         self.stats.incr("captured")
         return self.accounts[authorization.account]
@@ -143,6 +146,7 @@ class PaymentProcessor:
         """Release a hold without moving money."""
         authorization = self._active(auth_id)
         authorization.state = "voided"
+        self._held[authorization.account] -= authorization.amount_cents
         self.stats.incr("voided")
 
     def _active(self, auth_id: int) -> Authorization:

@@ -150,6 +150,8 @@ MERGE_POINT_OPERATORS = {
     "repro.security.payment.PaymentProcessor.accounts": "disjoint-union",
     "repro.security.payment.PaymentProcessor.authorizations":
         "disjoint-union",
+    # Open holds are keyed by account, so they partition the same way.
+    "repro.security.payment.PaymentProcessor._held": "disjoint-union",
     "repro.security.payment.PaymentProcessor.stats": "sum",
     # Stock decrements and synced rows commute (counted quantities).
     "repro.db.sync._Namespace.records": "disjoint-union",

@@ -12,6 +12,7 @@ from repro.apps import (
     TrafficApp,
     TravelApp,
 )
+from repro.apps.entertainment import media_payload
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.db import execute
 
@@ -149,6 +150,14 @@ def test_entertainment_larger_media_takes_longer(world):
                    app.buy_and_download(media_id=3, account="ann"))
     assert small.ok and big.ok
     assert big.latency > small.latency
+
+
+@pytest.mark.parametrize("media_id", [0, 1, 2, 3, 8, 250, 251, 1_000])
+def test_media_payload_equals_bytewise_generator(media_id):
+    sizes = [size_kb * 1024 for _, _, size_kb, _ in EntertainmentApp().media]
+    for size in sizes + [0, 1, 250, 251, 252]:
+        assert media_payload(media_id, size) == bytes(
+            (media_id * 31 + i) % 251 for i in range(size))
 
 
 # ---------------------------------------------------------------- healthcare

@@ -88,6 +88,65 @@ def test_rollback_restores_pk_index():
         execute(db, "INSERT INTO accounts (id, balance) VALUES (1, 1)")
 
 
+def full_before_image(table):
+    """What a complete copy taken before the transaction restores: dict
+    copies of the rows in order, and the PK map and the pre-existing
+    secondary indexes rebuilt in row order."""
+    rows = [dict(row) for row in table.rows]
+    indexes = {}
+    for name in table._indexes:
+        index = {}
+        for row in rows:
+            index.setdefault(row[name], []).append(row)
+        indexes[name] = index
+    return rows, {row["id"]: row for row in rows}, indexes
+
+
+@pytest.mark.parametrize("statements", [
+    ["INSERT INTO stock (id, shelf, qty) VALUES (9, 'a', 1)"],
+    ["INSERT INTO stock (id, shelf, qty) VALUES (9, 'a', 1)",
+     "UPDATE stock SET shelf = 'b', qty = 0 WHERE qty < 5"],
+    ["UPDATE stock SET shelf = 'c' WHERE id = 1",
+     "INSERT INTO stock (id, shelf, qty) VALUES (9, 'c', 1)"],
+    ["INSERT INTO stock (id, shelf, qty) VALUES (9, 'a', 1)",
+     "DELETE FROM stock WHERE shelf = 'a'"],
+    ["INSERT INTO stock (id, shelf, qty) VALUES (9, 'a', 1)",
+     "CREATE INDEX ON stock (qty)"],
+], ids=["insert", "insert-update", "update-insert", "insert-delete",
+        "insert-create-index"])
+def test_rollback_equals_full_before_image(statements):
+    sim = Simulator()
+    db = Database()
+    execute(db, "CREATE TABLE stock (id INTEGER PRIMARY KEY, "
+                "shelf TEXT NOT NULL, qty INTEGER NOT NULL)")
+    execute(db, "CREATE INDEX ON stock (shelf)")
+    execute(db, "INSERT INTO stock (id, shelf, qty) VALUES "
+                "(1, 'a', 3), (2, 'b', 7), (3, 'a', 4), (4, 'b', 2)")
+    # Bucket order now differs from row order: row 1 joins 'b' last.
+    execute(db, "UPDATE stock SET shelf = 'b' WHERE id = 1")
+    table = db.table("stock")
+    rows, pk_index, indexes = full_before_image(table)
+    mgr = TransactionManager(sim, db)
+
+    def work(env):
+        txn = mgr.begin()
+        for sql in statements:
+            yield txn.execute(sql)
+        txn.rollback()
+
+    run_txn(sim, work)
+    assert table.rows == rows
+    assert table._pk_index == pk_index
+    assert all(table._pk_index[row["id"]] is row for row in table.rows)
+    assert table._indexes == indexes
+    for name, index in table._indexes.items():
+        for value, bucket in index.items():
+            assert [row["id"] for row in bucket] == \
+                [row["id"] for row in indexes[name][value]]
+            assert all(any(row is stored for stored in table.rows)
+                       for row in bucket)
+
+
 def test_write_blocks_concurrent_write():
     sim, db, mgr = make_manager()
     order = []

@@ -8,6 +8,7 @@ kernel profiler are off (and cost nothing) by default.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine
@@ -25,6 +26,7 @@ from repro.obs import (
     render_breakdown_table,
     trace_to_dict,
 )
+from repro.obs.report import _span_depths
 from repro.sim import Simulator
 
 
@@ -211,6 +213,84 @@ def test_layer_breakdown_clips_open_spans():
 def test_layer_breakdown_requires_finished_root():
     with pytest.raises(ValueError):
         layer_breakdown([make_span(1, "app", 0.0, None)])
+
+
+def reference_breakdown(spans):
+    """The O(boundaries x spans) scan the sweep replaced: at every
+    elementary interval, the maximum (depth, start, span id) among the
+    clipped spans covering it wins."""
+    root = [s for s in spans if s.parent_id is None][0]
+    lo, hi = root.start, root.end
+    if hi <= lo:
+        return {root.layer: 0.0}
+    depths = _span_depths(spans)
+    clipped = []
+    for span in spans:
+        start = max(span.start, lo)
+        end = min(span.end if span.end is not None else hi, hi)
+        if end > start:
+            clipped.append((start, end, depths[span.span_id], span))
+    boundaries = sorted({t for start, end, _, _ in clipped
+                         for t in (start, end)})
+    totals = {}
+    for left, right in zip(boundaries, boundaries[1:]):
+        covering = [
+            (depth, span.start, span.span_id, span)
+            for start, end, depth, span in clipped
+            if start <= left and end >= right
+        ]
+        _, _, _, winner = max(covering)
+        totals[winner.layer] = totals.get(winner.layer, 0.0) + (right - left)
+    return totals
+
+
+# Tenth-second grid points: inexact in binary, so the property also
+# holds the sweep to the reference's float rounding.
+_TICKS = st.integers(-3, 25).map(lambda k: k * 0.1)
+_DROPPED_PARENT = 999
+
+
+@st.composite
+def synthetic_traces(draw):
+    """A root plus children that may be open, stick out of the root's
+    window, share depth and start, or hang off a dropped parent."""
+    root_start = draw(st.integers(0, 10)) * 0.1
+    root_end = root_start + draw(st.integers(0, 12)) * 0.1
+    spans = [make_span(1, draw(st.sampled_from(LAYER_ORDER)),
+                       root_start, root_end)]
+    for span_id in range(2, draw(st.integers(0, 12)) + 2):
+        start = draw(_TICKS)
+        length = draw(st.one_of(st.none(), st.integers(0, 10)))
+        end = None if length is None else start + length * 0.1
+        parent = draw(st.sampled_from(
+            [s.span_id for s in spans] + [_DROPPED_PARENT]))
+        spans.append(make_span(span_id, draw(st.sampled_from(LAYER_ORDER)),
+                               start, end, parent_id=parent))
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans=synthetic_traces())
+@example(spans=[  # open spans, one sticking out of the window
+    make_span(1, "app", 0.0, 1.0),
+    make_span(2, "web", 0.3, None, parent_id=1),
+    make_span(3, "db", 0.5, None, parent_id=2),
+    make_span(4, "wired", -0.2, 1.7, parent_id=1)])
+@example(spans=[  # equal depths with equal starts
+    make_span(1, "app", 0.0, 1.0),
+    make_span(2, "web", 0.2, 0.7, parent_id=1),
+    make_span(3, "db", 0.2, 0.9, parent_id=1),
+    make_span(4, "wired", 0.2, 0.4, parent_id=1)])
+@example(spans=[  # parent dropped: the orphans sit at depth 0
+    make_span(1, "app", 0.0, 1.0),
+    make_span(2, "web", 0.1, 0.8, parent_id=_DROPPED_PARENT),
+    make_span(3, "db", 0.1, 0.6, parent_id=2),
+    make_span(4, "wired", 0.0, 1.0, parent_id=_DROPPED_PARENT)])
+@example(spans=[  # zero-length root
+    make_span(1, "app", 0.4, 0.4),
+    make_span(2, "web", 0.1, 0.8, parent_id=1)])
+def test_layer_breakdown_matches_reference_scan(spans):
+    assert layer_breakdown(spans) == reference_breakdown(spans)
 
 
 def test_format_breakdown_distinguishes_wireless_from_wired():

@@ -350,6 +350,51 @@ def test_holds_count_against_balance():
         processor.authorize(signed_order(processor, key, amount=2_000))
 
 
+def open_holds(processor, account):
+    return sum(a.amount_cents for a in processor.authorizations.values()
+               if a.account == account and a.state == "authorized")
+
+
+def test_insufficient_funds_boundary_is_exact():
+    sim, processor, key = payment_world()
+    first = processor.authorize(signed_order(processor, key, amount=9_000))
+    # balance - held == amount is enough; one cent more is not.
+    processor.authorize(signed_order(processor, key, amount=1_000))
+    with pytest.raises(PaymentError, match="insufficient"):
+        processor.authorize(signed_order(processor, key, amount=1))
+    processor.capture(first.auth_id)
+    with pytest.raises(PaymentError, match="insufficient"):
+        processor.authorize(signed_order(processor, key, amount=1))
+    assert processor._held == {"ann": 1_000}
+
+
+_HOLD_STEPS = st.lists(st.tuples(
+    st.sampled_from(["authorize", "capture", "void"]),
+    st.sampled_from(["ann", "bob"]),
+    st.integers(1, 4_000),
+    st.integers(0, 20),
+), max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_HOLD_STEPS)
+def test_held_total_matches_open_authorizations(steps):
+    sim, processor, key = payment_world()
+    processor.open_account("bob", 5_000)
+    for verb, account, amount, pick in steps:
+        try:
+            if verb == "authorize":
+                processor.authorize(signed_order(
+                    processor, key, amount=amount, account=account))
+            else:
+                getattr(processor, verb)(pick + 1)
+        except PaymentError:
+            pass
+        for name in ("ann", "bob"):
+            assert processor._held.get(name, 0) == \
+                open_holds(processor, name)
+
+
 def test_replayed_order_declined():
     sim, processor, key = payment_world()
     order = signed_order(processor, key)
