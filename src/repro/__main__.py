@@ -21,9 +21,8 @@ Commands:
   sanitizer installed; hazards are confirmed by deterministic flipped
   replay and any confirmed race fails the command;
 * ``bench`` — drive N concurrent users through the full transaction
-  path, verify the fleet (and, with ``--workers``, parallel) guards'
-  byte-identical outputs, optionally sweep a goodput-vs-offered-load
-  curve, and write ``BENCH_PERF.json``;
+  path, verify the fleet guard's byte-identical outputs, optionally
+  sweep a goodput-vs-offered-load curve, and write ``BENCH_PERF.json``;
 * ``tables`` — print the paper's five tables as reproduced from the
   model registries (specs only — run ``pytest benchmarks/`` for the
   measured versions);
@@ -232,16 +231,7 @@ def _cmd_chaos(args) -> int:
         plan=plan,
         fleet=args.fleet,
     )
-    if args.workers > 0:
-        from repro.perf import run_parallel_chaos
-
-        report = run_parallel_chaos(workers=args.workers, **kwargs)
-        if "parallel_fallback" in report:
-            note = report["parallel_fallback"]
-            print(f"parallel: no legal cut ({note['reason']}); "
-                  f"ran sequentially", file=sys.stderr)
-    else:
-        report = run_chaos(**kwargs)
+    report = run_chaos(**kwargs)
     text = report_json(report)
     if args.json:
         with open(args.json, "w") as handle:
@@ -280,28 +270,6 @@ def _cmd_races(args) -> int:
         with open(args.json, "w") as handle:
             handle.write(analysis.render_json() + "\n")
         print(f"access matrix written to {args.json}", file=sys.stderr)
-    if args.suggest_cut is not None:
-        from repro.sim.parallel import suggest_cut
-        from repro.sim.parallel.partition import plan_json
-
-        plan = suggest_cut(users=args.cut_users, workers=args.cut_workers,
-                           fleet=args.cut_fleet,
-                           matrix=analysis.to_dict()["matrix"])
-        text = plan_json(plan)
-        if args.suggest_cut == "-":
-            print(text)
-        else:
-            with open(args.suggest_cut, "w") as handle:
-                handle.write(text + "\n")
-            print(f"shard-cut plan written to {args.suggest_cut}",
-                  file=sys.stderr)
-        if plan["legal"]:
-            print(f"cut: {len(plan['shards'])} shard(s), lookahead "
-                  f"{plan['lookahead']}s, {plan['windows']} window(s)",
-                  file=sys.stderr)
-        else:
-            print(f"cut: ILLEGAL — {plan['reason']}", file=sys.stderr)
-        return 0
     if args.format == "json":
         print(analysis.render_json())
     else:
@@ -372,8 +340,7 @@ def _cmd_bench(args) -> int:
                         transactions_per_user=args.transactions,
                         horizon=args.horizon,
                         sweep=sweep,
-                        fleet=args.fleet,
-                        workers=args.workers)
+                        fleet=args.fleet)
     text = report_to_json(report)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -391,22 +358,6 @@ def _cmd_bench(args) -> int:
         f"{opt['measured']['transactions_per_sec']} txn/s"
     )
     print(summary, file=sys.stderr)
-    parallel = report.get("parallel")
-    if parallel is not None:
-        if "fallback" in parallel:
-            print(f"parallel: no legal cut "
-                  f"({parallel['fallback']['reason']}); ran sequentially",
-                  file=sys.stderr)
-        else:
-            measured = parallel["report"]["measured"]
-            print(f"parallel: {parallel['workers']} worker(s) on "
-                  f"{measured['host_cpus']} cpu(s), "
-                  f"{parallel['wall_seconds']:.2f}s wall, "
-                  f"{parallel['aggregate_events_per_sec']} events/s "
-                  f"aggregate; vs sequential "
-                  f"{report.get('speedup_parallel_vs_sequential')}x, "
-                  f"vs lockstep {parallel['speedup_vs_lockstep']}x",
-                  file=sys.stderr)
     if sweep is not None:
         for point in report["sweep"]["deterministic"]["points"]:
             print(f"  sweep users={point['users']:4d}: "
@@ -439,27 +390,12 @@ def _cmd_bench(args) -> int:
                   if not ok]
         failures.append(
             f"fleet wiring changed the results ({', '.join(failed)})")
-    if parallel is not None and "fallback" not in parallel:
-        if not parallel["identical_parallel_vs_lockstep"]:
-            failures.append(
-                f"parallel run diverged from the sequential decomposition "
-                f"at {args.users} users / {args.workers} workers")
-        guard = parallel["guard"]
-        if not guard["identical"]:
-            failed = [name for name, ok in guard["checks"].items()
-                      if not ok]
-            failures.append(
-                f"parallel_check failed ({', '.join(failed)})")
     if failures:
         for failure in failures:
             print(f"BENCH FAILURE: {failure}", file=sys.stderr)
         return 1
     print("determinism: fleet wiring transparent "
           f"({', '.join(fleet_det['checks'])})", file=sys.stderr)
-    if parallel is not None and "fallback" not in parallel:
-        print("determinism: parallel workers byte-identical "
-              f"({', '.join(parallel['guard']['checks'])})",
-              file=sys.stderr)
     return 0
 
 
@@ -587,11 +523,6 @@ def main(argv=None) -> int:
                        choices=["cellular", "wlan"])
     chaos.add_argument("--plan", default=None, metavar="PATH",
                        help="JSON fault plan overriding the scenario")
-    chaos.add_argument("--workers", type=int, default=0,
-                       help="run the scenario partitioned across N "
-                            "worker processes (0 = sequential; falls "
-                            "back to sequential when no legal cut, "
-                            "e.g. fleet scenarios)")
     chaos.add_argument("--json", default=None, metavar="PATH",
                        help="write the report JSON here instead of stdout")
     chaos.set_defaults(func=_cmd_chaos)
@@ -611,21 +542,6 @@ def main(argv=None) -> int:
                        metavar="PREFIX",
                        help="exit nonzero only on findings under these "
                             "path prefixes (e.g. src/repro/faults)")
-    races.add_argument("--suggest-cut", nargs="?", const="-",
-                       default=None, metavar="PATH",
-                       help="emit the parallel partitioner's shard-cut "
-                            "plan for this matrix (shards, cut links, "
-                            "lookahead, blocking keys) as JSON to PATH "
-                            "(default: stdout)")
-    races.add_argument("--cut-users", type=int, default=500,
-                       help="scenario size for --suggest-cut "
-                            "(default 500)")
-    races.add_argument("--cut-workers", type=int, default=4,
-                       help="worker count for --suggest-cut (default 4)")
-    races.add_argument("--cut-fleet", type=int, default=0,
-                       help="gateway fleet size for --suggest-cut; a "
-                            "fleet makes the cut illegal and documents "
-                            "the sequential fallback")
     races.set_defaults(func=_cmd_races)
 
     sanitize = sub.add_parser(
@@ -674,11 +590,6 @@ def main(argv=None) -> int:
                        help="run the middleware tier as an N-member "
                             "gateway fleet behind the consistent-hash "
                             "balancer (default 0 = single gateway)")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="also run the scenario partitioned across N "
-                            "worker processes, byte-compare it against "
-                            "the sequential decomposition, and record "
-                            "the speedup (default 0 = off)")
     bench.add_argument("--out", default="BENCH_PERF.json", metavar="PATH",
                        help="where to write the report "
                             "(default: ./BENCH_PERF.json)")

@@ -24,8 +24,7 @@ One :func:`run_sanitize` call is two-phase:
 
 The default ``pair`` flip is deliberately minimal: reversing a whole
 batch also permutes the order in which processes draw from shared
-seeded streams — a kernel-ordering effect the parallel-DES plan
-handles by splitting streams per shard, not an application race — so
+seeded streams — a kernel-ordering effect, not an application race — so
 whole-batch reversal is kept behind ``flip_mode="batch"`` for
 exploratory use.
 """

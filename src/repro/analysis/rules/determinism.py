@@ -1,8 +1,8 @@
 """Determinism rules: virtual time and seeded randomness only.
 
-Reproducible parallel workloads require that nothing outside the
-simulation kernel reads the wall clock or draws from process-global
-randomness — both make traces irreproducible across runs and machines.
+Reproducible runs require that nothing outside the simulation kernel
+reads the wall clock or draws from process-global randomness — both
+make traces irreproducible across runs and machines.
 """
 
 from __future__ import annotations

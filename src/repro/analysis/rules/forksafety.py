@@ -1,23 +1,26 @@
-"""Fork-safety rule: module-level mutable state in shard-imported code.
+"""Fork-safety rule: module-level state that outlives one system.
 
-The parallel engine hosts shard simulations in forked (or spawned)
-worker processes.  Any module-level mutable container that code mutates
-at runtime silently diverges across those processes: each worker mutates
-its own copy, the coordinator never sees the writes, and a later
-sequential run sees yet another history.  Per-instance state is safe
-(every instance lives in exactly one shard's object graph — the
-partitioner's ``replicated`` class); module globals are not, because the
-*module* is what fork duplicates.
+A simulated system must compute the same bytes whether it is the first
+or the fifth one built in a process.  Any module-level mutable container
+or counter that code advances at runtime breaks that: the second system
+built in one interpreter (a repeat, an A/B guard, a test after another
+test) starts from whatever the first left behind, so its results
+depend on run history.  ``security.auth`` once numbered tokens from a
+module-level ``itertools.count``, and two same-seed runs in one process
+disagreed.  Per-instance state is safe: every instance lives in exactly
+one system's object graph.  The same state would also diverge across
+forked processes, which is where the rule id comes from.
 
 The rule flags a module-level name bound to a mutable container
 (literal or known factory call) that any function in the module then
 mutates — method mutators (``append``/``update``/...), subscript
-assignment, or augmented assignment.  Registries filled once at import
-time by decorators are conventionally suppressed with
-``# repro: noqa[fork-unsafe-global]`` and a justification, as are
-process-wide caches that are deliberate (and keyed so divergence is
-harmless).  Tooling under ``repro.analysis`` is exempt: it never runs
-inside a shard worker.
+assignment, augmented assignment or ``del`` — and a module-level
+``itertools.count(...)`` that a function advances with ``next(NAME)``.
+Registries filled once at import time by decorators are conventionally
+suppressed with ``# repro: noqa[fork-unsafe-global]`` and a
+justification, as are process-wide caches and ids whose history never
+reaches a result.  Tooling under ``repro.analysis`` is exempt: it
+inspects systems but is no part of one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ MUTATOR_METHODS = {
     "update",
 }
 
-# Packages never imported by a shard worker's scenario build.
+# Packages that build no simulated system: their state cannot leak
+# from one run into the next.
 EXEMPT_PACKAGES = ("repro.analysis",)
 
 
@@ -58,6 +62,34 @@ def _module_level_mutables(tree: ast.Module) -> dict:
         for target in targets:
             if isinstance(target, ast.Name):
                 bindings.setdefault(target.id, node.lineno)
+    return bindings
+
+
+def _is_count_call(value: ast.AST, count_names: set) -> bool:
+    """Is ``value`` a call of ``itertools.count`` (under any import)?"""
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    if isinstance(func, ast.Attribute):
+        return (func.attr == "count" and isinstance(func.value, ast.Name)
+                and func.value.id == "itertools")
+    return isinstance(func, ast.Name) and func.id in count_names
+
+
+def _module_level_counters(tree: ast.Module) -> dict:
+    """Module-scope ``NAME = itertools.count(...)`` -> assignment line."""
+    count_names = {alias.asname or alias.name
+                   for node in tree.body
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "itertools"
+                   for alias in node.names if alias.name == "count"}
+    bindings: dict = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) \
+                and _is_count_call(node.value, count_names):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bindings.setdefault(target.id, node.lineno)
     return bindings
 
 
@@ -86,20 +118,28 @@ def _local_bindings(func: ast.AST) -> set:
     return local - declared_global
 
 
-def _mutations(func: ast.AST, names: set) -> Iterator[tuple]:
-    """(name, lineno, how) for each mutation of a tracked global."""
+def _mutations(func: ast.AST, names: set,
+               counters: set) -> Iterator[tuple]:
+    """(name, lineno, use) for each mutation of a tracked global."""
     shadowed = _local_bindings(func)
     visible = names - shadowed
-    if not visible:
+    advanced = counters - shadowed
+    if not visible and not advanced:
         return
     for node in ast.walk(func):
-        if isinstance(node, ast.Call) \
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "next" and node.args \
+                and isinstance(node.args[0], ast.Name) \
+                and node.args[0].id in advanced:
+            name = node.args[0].id
+            yield (name, node.lineno, f"next({name})")
+        elif isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
                 and isinstance(node.func.value, ast.Name) \
                 and node.func.value.id in visible \
                 and node.func.attr in MUTATOR_METHODS:
-            yield (node.func.value.id, node.lineno,
-                   f".{node.func.attr}()")
+            name = node.func.value.id
+            yield (name, node.lineno, f"{name}.{node.func.attr}()")
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
@@ -107,24 +147,27 @@ def _mutations(func: ast.AST, names: set) -> Iterator[tuple]:
                 if isinstance(target, ast.Subscript) \
                         and isinstance(target.value, ast.Name) \
                         and target.value.id in visible:
-                    yield (target.value.id, node.lineno, "[...] =")
+                    name = target.value.id
+                    yield (name, node.lineno, f"{name}[...] =")
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 if isinstance(target, ast.Subscript) \
                         and isinstance(target.value, ast.Name) \
                         and target.value.id in visible:
-                    yield (target.value.id, node.lineno, "del [...]")
+                    name = target.value.id
+                    yield (name, node.lineno, f"del {name}[...]")
 
 
 @register_rule
 class ForkUnsafeGlobalRule(Rule):
-    """Module-level mutable state mutated at runtime diverges silently
-    across forked shard workers; hang it off an instance instead."""
+    """Module-level state mutated at runtime leaks from one simulated
+    system into the next one built in the process; hang it off an
+    instance instead."""
 
     rule_id = "fork-unsafe-global"
     severity = SEVERITY_WARNING
-    description = "module-level mutable state mutated at runtime " \
-                  "(fork-unsafe under multiprocessing)"
+    description = "module-level mutable state or counter mutated at " \
+                  "runtime (leaks between systems built in one process)"
 
     def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         if not info.in_package("repro"):
@@ -132,24 +175,26 @@ class ForkUnsafeGlobalRule(Rule):
         if any(info.in_package(package) for package in EXEMPT_PACKAGES):
             return
         mutables = _module_level_mutables(info.tree)
-        if not mutables:
+        counters = _module_level_counters(info.tree)
+        if not mutables and not counters:
             return
-        names = set(mutables)
+        bindings = {**mutables, **counters}
         reported: set = set()
         for node in ast.walk(info.tree):
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue
-            for name, lineno, how in _mutations(node, names):
+            for name, lineno, use in _mutations(node, set(mutables),
+                                                set(counters)):
                 if name in reported:
                     continue
                 reported.add(name)
                 yield self.finding(
-                    info, mutables[name],
-                    f"module-level mutable {name!r} is mutated at "
-                    f"runtime (line {lineno}: {name}{how}); each forked "
-                    "shard worker mutates its own copy, so this state "
-                    "silently diverges across processes — move it onto "
+                    info, bindings[name],
+                    f"module-level {name!r} is mutated at runtime "
+                    f"(line {lineno}: {use}); a second system built in "
+                    "this process starts from the first one's state, so "
+                    "its results depend on run history — move it onto "
                     "an instance, or suppress with a justification if "
-                    "the divergence is deliberate",
+                    "that history never reaches a result",
                 )

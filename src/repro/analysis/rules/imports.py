@@ -4,7 +4,7 @@ Builds the module-level import graph of every linted module that has a
 dotted name (``repro.*``), resolves relative imports, and reports each
 strongly connected component of size > 1 as a cycle.  Cycles between
 subpackages make import order load-bearing and break lazy/partial
-imports under parallel workers.
+imports.
 """
 
 from __future__ import annotations

@@ -20,8 +20,6 @@ from ..sim import Event, Interrupt, SimulationError, Simulator
 
 __all__ = ["TransactionRecord", "TransactionContext", "TransactionEngine"]
 
-_txn_ids = itertools.count(1)
-
 # Transport failures a retry policy may absorb: the request never got a
 # definitive answer, so trying again is safe for idempotent flows.
 TRANSIENT_ERRORS = (RequestTimeout, ConnectionError)
@@ -192,6 +190,7 @@ class TransactionEngine:
         self.request_timeout = request_timeout if request_timeout is not None \
             else getattr(system, "request_timeout", None)
         self.records: list[TransactionRecord] = []
+        self._txn_ids = itertools.count(1)
 
     def run_flow(self, handle, flow: FlowFunction,
                  name: Optional[str] = None) -> Event:
@@ -204,7 +203,7 @@ class TransactionEngine:
             getattr(handle, "station", None), "name", None
         ) or getattr(getattr(handle, "node", None), "name", "client")
         record = TransactionRecord(
-            txn_id=next(_txn_ids),
+            txn_id=next(self._txn_ids),
             flow_name=name or getattr(flow, "__name__", "flow"),
             client_name=client_name,
             started_at=self.sim.now,

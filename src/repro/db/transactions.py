@@ -21,8 +21,6 @@ from .sql import CreateIndex, CreateTable, Delete, Insert, Select, Update, parse
 __all__ = ["TransactionError", "DeadlockError", "Transaction",
            "TransactionManager"]
 
-_txn_ids = itertools.count(1)
-
 
 class TransactionError(Exception):
     """Misuse: operating on a finished transaction, etc."""
@@ -84,6 +82,7 @@ class TransactionManager:
         self.database = database
         self.lock_timeout = lock_timeout
         self._locks: dict[str, _TableLock] = {}
+        self._txn_ids = itertools.count(1)
         self.committed = 0
         self.aborted = 0
 
@@ -158,7 +157,7 @@ class Transaction:
 
     def __init__(self, manager: TransactionManager):
         self.manager = manager
-        self.txn_id = next(_txn_ids)
+        self.txn_id = next(manager._txn_ids)
         self.state = Transaction.ACTIVE
         self._held: set[str] = set()
         self._undo: dict[str, _UndoRecord] = {}

@@ -155,16 +155,14 @@ def percentile(values, q: float) -> float:
 class _ChaosScenario:
     """A fully wired chaos scenario, ready to run.
 
-    Produced by :func:`build_chaos_scenario`; consumed by
-    :func:`run_chaos` and by the parallel shard runner, which advances
-    it window by window in a worker process.  Sharing the wiring and
-    the report derivation keeps the two paths byte-identical.
+    Produced by :func:`build_chaos_scenario`, run to the horizon by
+    :func:`run_chaos` and read by :func:`chaos_report`.
     """
 
     __slots__ = ("system", "engine", "shop", "faults", "plan", "handles",
                  "scenario", "seed", "intensity", "policies", "middleware",
                  "bearer", "device", "horizon", "stations",
-                 "station_offset", "transactions_per_station")
+                 "transactions_per_station")
 
 
 def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
@@ -175,21 +173,19 @@ def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
                          bearer: tuple = ("cellular", "GPRS"),
                          device: str = DEFAULT_DEVICE,
                          plan: FaultPlan = None,
-                         fleet: int = 0,
-                         station_offset: int = 0) -> _ChaosScenario:
+                         fleet: int = 0) -> _ChaosScenario:
     """Build and wire a chaos scenario without running it.
 
-    ``station_offset`` shifts station/account naming so a shard hosting
-    stations ``[offset, offset+stations)`` uses the same global
-    identities the sequential run would.
+    Station ``index`` is named ``station-{index}`` and pays from account
+    ``shopper{index}``.
     """
     if fleet == 0:
         fleet = FLEET_SCENARIOS.get(scenario, 0)
     if fleet > 0 and not policies:
         raise ValueError("a gateway fleet requires policies=True")
     if stations is None:
-        # Fleet scenarios need enough stations that every shard (and
-        # the canary cohort) actually sees traffic.
+        # Fleet scenarios need enough stations that every fleet member
+        # (and the canary cohort) actually sees traffic.
         stations = 12 if fleet > 0 else 4
     resilience = ResilienceConfig() if policies else None
     if fleet > 0:
@@ -216,11 +212,9 @@ def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
                               ("Leather Case", 950, 10_000)])
     system.mount_application(shop)
     for index in range(stations):
-        system.host.payment.open_account(
-            f"shopper{station_offset + index}", 100_000_000)
+        system.host.payment.open_account(f"shopper{index}", 100_000_000)
 
-    handles = [system.add_station(
-                   device, name=f"station-{station_offset + index}")
+    handles = [system.add_station(device, name=f"station-{index}")
                for index in range(stations)]
     engine = TransactionEngine(system)
 
@@ -247,10 +241,9 @@ def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
         return loop
 
     for index, handle in enumerate(handles):
-        name = f"shopper-{station_offset + index}"
+        name = f"shopper-{index}"
         system.sim.spawn(
-            shopper(handle, f"shopper{station_offset + index}")(system.sim),
-            name=name)
+            shopper(handle, f"shopper{index}")(system.sim), name=name)
 
     built = _ChaosScenario()
     built.system = system
@@ -268,7 +261,6 @@ def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
     built.device = device
     built.horizon = horizon
     built.stations = stations
-    built.station_offset = station_offset
     built.transactions_per_station = transactions_per_station
     return built
 

@@ -18,7 +18,7 @@ from .packet import PROTO_ICMP, Packet
 
 __all__ = ["EchoReply", "install_echo_responder", "ping"]
 
-_echo_ids = itertools.count(1)
+_echo_ids = itertools.count(1)  # repro: noqa[fork-unsafe-global] — echo_id only matches a reply to its request; no report reads its value
 
 
 @dataclass

@@ -44,7 +44,7 @@ __all__ = [
 MOBILE_IP_PORT = 434
 DEFAULT_LIFETIME = 300.0
 
-_registration_ids = itertools.count(1)
+_registration_ids = itertools.count(1)  # repro: noqa[fork-unsafe-global] — identification only matches a reply to its request, and a foreign agent keys pending requests by it alone, so it must be unique across clients; no report reads its value
 
 
 @dataclass

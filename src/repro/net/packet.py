@@ -21,7 +21,7 @@ PROTO_UDP = "udp"
 PROTO_IPIP = "ipip"  # IP-in-IP tunnel (Mobile IP)
 PROTO_ICMP = "icmp"
 
-_packet_ids = itertools.count(1)
+_packet_ids = itertools.count(1)  # repro: noqa[fork-unsafe-global] — packet_id is a trace label: only __repr__ and Node.trace (off by default, read by nothing in the package) use it
 
 IP_HEADER_BYTES = 20
 

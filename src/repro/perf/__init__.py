@@ -7,13 +7,12 @@ fully deterministic summary of what the virtual run computed.
 ``sweep_bench`` repeats it across user counts to draw the
 goodput-vs-offered-load curve.
 
-``GCIsolation`` is the host-GC policy both measured loops (``run_bench``
-and the parallel shards) run under; ``fleet_check`` and
-``parallel_check`` are the byte-identity guards for the fleet wiring and
-the parallel engine.
+``GCIsolation`` is the host-GC policy ``run_bench``'s measured loop
+runs under; ``fleet_check`` is the byte-identity guard for the fleet
+wiring.
 """
 
-from .determinism import fleet_check, parallel_check
+from .determinism import fleet_check
 from .loadgen import (
     GCIsolation,
     bench_deterministic,
@@ -24,11 +23,9 @@ from .loadgen import (
     run_bench,
     sweep_bench,
 )
-from .parallel import run_parallel_bench, run_parallel_chaos
 from .report import full_bench, report_to_json
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
            "bench_deterministic", "build_bench_scenario",
-           "check_capacity_curve", "fleet_check", "parallel_check",
-           "GCIsolation", "run_parallel_bench", "run_parallel_chaos",
+           "check_capacity_curve", "fleet_check", "GCIsolation",
            "full_bench", "report_to_json"]

@@ -164,16 +164,12 @@ def _check_events_curve(events_points, tolerance: float) -> dict:
 class _BenchScenario:
     """A fully wired bench scenario, ready to run.
 
-    Produced by :func:`build_bench_scenario`; consumed by
-    :func:`run_bench` (which runs it to the horizon in one process) and
-    by the parallel shard runner (which advances it window by window
-    inside a worker process).  Holding the pieces on one object keeps
-    the two execution paths byte-identical by construction: they share
-    the wiring *and* the report derivation below.
+    Produced by :func:`build_bench_scenario`, run to the horizon by
+    :func:`run_bench` and read by :func:`bench_deterministic`.
     """
 
     __slots__ = ("system", "engine", "shop", "tracer", "handles",
-                 "users", "user_offset", "seed", "transactions_per_user",
+                 "users", "seed", "transactions_per_user",
                  "horizon", "middleware", "bearer", "device", "policies",
                  "resilience")
 
@@ -188,13 +184,11 @@ def build_bench_scenario(users: int = 50, seed: int = 7,
                          trace: bool = True,
                          max_spans: int = 2_000_000,
                          resilience: Optional[ResilienceConfig] = None,
-                         fleet: int = 0,
-                         user_offset: int = 0) -> _BenchScenario:
+                         fleet: int = 0) -> _BenchScenario:
     """Build and wire the load scenario without running it.
 
-    ``user_offset`` shifts station/account naming (``station-7``,
-    ``user7``) so a shard hosting users ``[offset, offset+users)`` uses
-    the same global identities the sequential run would.
+    User ``index`` gets station ``station-{index}`` and payment account
+    ``user{index}``.
     """
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")
@@ -217,11 +211,9 @@ def build_bench_scenario(users: int = 50, seed: int = 7,
                               ("Leather Case", 950, 10_000_000)])
     system.mount_application(shop)
     for index in range(users):
-        system.host.payment.open_account(f"user{user_offset + index}",
-                                         100_000_000)
+        system.host.payment.open_account(f"user{index}", 100_000_000)
 
-    handles = [system.add_station(device,
-                                  name=f"station-{user_offset + index}")
+    handles = [system.add_station(device, name=f"station-{index}")
                for index in range(users)]
     engine = TransactionEngine(system)
 
@@ -244,8 +236,8 @@ def build_bench_scenario(users: int = 50, seed: int = 7,
         return loop
 
     for index, handle in enumerate(handles):
-        name = f"user-{user_offset + index}"
-        system.sim.spawn(shopper(handle, f"user{user_offset + index}")(
+        name = f"user-{index}"
+        system.sim.spawn(shopper(handle, f"user{index}")(
             system.sim), name=name)
 
     scenario = _BenchScenario()
@@ -255,7 +247,6 @@ def build_bench_scenario(users: int = 50, seed: int = 7,
     scenario.tracer = tracer
     scenario.handles = handles
     scenario.users = users
-    scenario.user_offset = user_offset
     scenario.seed = seed
     scenario.transactions_per_user = transactions_per_user
     scenario.horizon = horizon
@@ -281,8 +272,8 @@ class GCIsolation:
     rescanned by every gen-2 collection, and that scanning dominates
     wall time at scale.  Objects allocated *after* a freeze are still
     collector-visible, so one up-front freeze decays as the run
-    accumulates survivors; the loop therefore runs in virtual-time
-    slices (or windows) and calls :meth:`refreeze` at each boundary.
+    accumulates survivors; :func:`run_bench` therefore runs in
+    virtual-time slices and calls :meth:`refreeze` at each boundary.
     Stopping and resuming the kernel's dispatch loop is observably
     identical to one ``run`` call, so the virtual run is unaffected.
     Leaving the ``with`` block unfreezes on every exit path, a failed
@@ -367,11 +358,7 @@ def run_bench(users: int = 50, seed: int = 7,
 
 
 def bench_deterministic(scenario: _BenchScenario) -> dict:
-    """Derive the ``deterministic`` report section from a finished run.
-
-    Shared between the sequential path and the parallel shard runner so
-    both derive the identical section from identical virtual state.
-    """
+    """Derive the ``deterministic`` report section from a finished run."""
     system, engine = scenario.system, scenario.engine
     records = engine.completed
     latencies = sorted(engine.latencies())

@@ -64,8 +64,9 @@ class HeapScheduler:
 
         The batch is also the unit of the commutativity contract: the
         entries share a timestamp with no intra-batch causal edge
-        through the kernel, so a parallel core may dispatch them
-        concurrently only if they commute.  The race sanitizer
+        through the kernel, so their dispatch order is the kernel's
+        tie-break and a correct model must not depend on it.  The race
+        sanitizer
         (``repro.analysis.races``) hooks :meth:`Simulator.run` right
         after this call to record per-entry read/write sets and — on
         replay — hand back the batch in flipped order to prove or

@@ -402,6 +402,70 @@ def test_set_iteration_suppressed():
     assert report.suppressed == 1
 
 
+# -- fork-unsafe-global ------------------------------------------------------
+
+def test_fork_unsafe_global_flags_mutated_module_list():
+    report = run_rule("fork-unsafe-global", """\
+        PENDING = []
+        LIMITS = {"max": 3}
+        def enqueue(item):
+            PENDING.append(item)
+            return LIMITS["max"]
+        def shadowed(PENDING):
+            PENDING.append(1)
+    """, module="repro.fake.queue")
+    assert [f.line for f in report.findings] == [1]
+    assert "'PENDING'" in report.findings[0].message
+    assert "line 4: PENDING.append()" in report.findings[0].message
+
+
+def test_fork_unsafe_global_flags_counter_advanced_with_next():
+    report = run_rule("fork-unsafe-global", """\
+        import itertools
+        from itertools import count as counter
+        _ids = itertools.count(1)
+        _serials = counter()
+        _unused = itertools.count(1)
+        def issue():
+            return next(_ids), next(_serials)
+        class Issuer:
+            def __init__(self):
+                self._own = itertools.count(1)
+            def issue(self):
+                return next(self._own)
+    """, module="repro.fake.ids")
+    assert [f.line for f in report.findings] == [3, 4]
+    assert "line 7: next(_ids)" in report.findings[0].message
+
+
+def test_fork_unsafe_global_suppressed():
+    report = run_rule("fork-unsafe-global", """\
+        import itertools
+        _ids = itertools.count(1)  # repro: noqa[fork-unsafe-global] label
+        def issue():
+            return next(_ids)
+    """, module="repro.fake.ids")
+    assert report.findings == []
+    assert report.suppressed == 1
+
+
+def test_fork_unsafe_global_exempts_analysis_and_foreign_code():
+    source = """\
+        import itertools
+        SEEN = []
+        _ids = itertools.count(1)
+        def note(item):
+            SEEN.append(item)
+            return next(_ids)
+    """
+    assert run_rule("fork-unsafe-global", source,
+                    module="repro.analysis.fixture").findings == []
+    assert run_rule("fork-unsafe-global", source,
+                    module="thirdparty.mod").findings == []
+    assert len(run_rule("fork-unsafe-global", source,
+                        module="repro.web.fake").findings) == 2
+
+
 # -- stable output ordering ---------------------------------------------------
 
 def test_findings_sorted_regardless_of_input_order():

@@ -326,7 +326,8 @@ def test_travel_ticket_verifiable(world):
 
 def test_same_seed_reproduces_within_one_process():
     """Two systems built from one seed in one interpreter issue the same
-    ticket tokens, so they simulate the same run."""
+    ticket tokens and number their transactions alike, so they simulate
+    the same run."""
     def run_once():
         system = MCSystemBuilder(seed=3, middleware="WAP",
                                  bearer=("cellular", "WCDMA")).build()
@@ -334,8 +335,22 @@ def test_same_seed_reproduces_within_one_process():
         engine = TransactionEngine(system)
         app = TravelApp()
         system.mount_application(app)
-        record = run_flow(system, engine, handle, app.book_trip())
-        assert record.ok, record.error
-        return record.latency, db_rows(system, "SELECT * FROM tv_tickets")
+        manager = system.host.db_server.manager
+        db_txn_ids = []
+        begin = manager.begin
+
+        def recording_begin():
+            txn = begin()
+            db_txn_ids.append(txn.txn_id)
+            return txn
+
+        manager.begin = recording_begin
+        records = [run_flow(system, engine, handle, app.book_trip())
+                   for _ in range(2)]
+        assert all(record.ok for record in records), records
+        assert db_txn_ids
+        return ([record.txn_id for record in records], db_txn_ids,
+                [record.latency for record in records],
+                db_rows(system, "SELECT * FROM tv_tickets"))
 
     assert run_once() == run_once()

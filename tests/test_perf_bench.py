@@ -1,6 +1,7 @@
 """Tests for repro.perf: the load benchmark, its sliced measured loop,
 and the transparency of the always-on SQL parse cache."""
 
+import gc
 import json
 
 import pytest
@@ -78,6 +79,24 @@ def test_sliced_run_equals_single_run():
     assert json.dumps(bench_deterministic(sliced), indent=2,
                       sort_keys=True) == \
         json.dumps(bench_deterministic(whole), indent=2, sort_keys=True)
+
+
+def test_failed_bench_run_leaves_gc_unfrozen():
+    """GC isolation freezes the host GC around the measured loop; a run
+    that raises must not leave the rest of the process running frozen."""
+    def plant_failure(system, engine):
+        def fail(env):
+            yield env.timeout(SMALL["horizon"] / 3)
+            raise RuntimeError("planted run failure")
+        system.sim.spawn(fail(system.sim), name="planted-failure")
+
+    try:
+        with pytest.raises(RuntimeError, match="planted run failure"):
+            run_bench(post_build=plant_failure, **SMALL)
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert frozen == 0
 
 
 def test_caches_on_and_off_give_identical_bench_results(disable_parse_cache):
