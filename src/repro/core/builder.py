@@ -57,6 +57,13 @@ __all__ = ["HostTier", "StationHandle", "ClientHandle", "MCSystem",
 
 HOST_DOMAIN = "shop.example.com"
 
+# Middleware kind -> (gateway class, device session class, default port).
+_MIDDLEWARE = {
+    "WAP": (WAPGateway, WAPSession, WSP_PORT),
+    "i-mode": (IModeCenter, IModeSession, IMODE_PORT),
+    "Palm": (WebClippingProxy, PalmSession, CLIPPING_PORT),
+}
+
 
 @dataclass
 class HostTier:
@@ -144,8 +151,9 @@ class MCSystem(_BaseSystem):
         self._station_allocator = station_allocator
         self.stations: list[StationHandle] = []
         # Resilience wiring (populated by the builder): the primary
-        # middleware gateway/centre/proxy, the optional standby, the
-        # ResilienceConfig in force, and the retry policy + default
+        # middleware gateway/centre/proxy (fleet member gw-0 when a
+        # fleet is built), the optional standby (never with a fleet),
+        # the ResilienceConfig in force, and the retry policy + default
         # request timeout TransactionEngine picks up automatically.
         self.gateway = None
         self.standby_gateway = None
@@ -292,15 +300,70 @@ class MCSystemBuilder:
         # registry, so failover survives non-default layouts.
         self.middleware_port = middleware_port
 
+    def _start_gateway(self, sim, seeds, registry, node, res, metrics,
+                       port: int, suffix: str, metric_name: str,
+                       air_pressure=None, handicap: float = 0.0):
+        """Build one middleware gateway and publish its endpoints.
+
+        The single factory for the primary (``suffix=""``), the standby
+        (``"-standby"``) and fleet member *i* (``"-m{i}"``; member 0 is
+        ``""``).  Every name is derived from ``suffix`` here: the
+        ``middleware{suffix}`` service (plus ``-wtls`` for WAP), the
+        ``{kind}-origin{suffix}`` breaker and the
+        ``gateway-admission{suffix}``, ``wtls-gateway{suffix}`` and
+        ``wtls{suffix}-{station}`` seed streams.  Returns
+        ``(gateway, make_session)``.
+        """
+        kind = self.middleware
+        gateway_cls, session_cls, _ = _MIDDLEWARE[kind]
+        breaker = (res.breaker(sim, name=f"{kind}-origin{suffix}")
+                   if res is not None and res.breaker_threshold > 0
+                   else None)
+        batching = res.batch_config() if res is not None else None
+        batch_stream = (seeds.stream(f"gateway-admission{suffix}")
+                        if batching is not None else None)
+        wap_args = {}
+        if kind == "WAP":
+            wap_args = {"wtls_port": port + (WTLS_PORT - WSP_PORT),
+                        "entropy": seeds.stream(f"wtls-gateway{suffix}")}
+        gateway = gateway_cls(
+            node, registry, port=port, breaker=breaker,
+            origin_timeout=res.origin_timeout if res is not None else 30.0,
+            batching=batching, batch_stream=batch_stream,
+            air_pressure=air_pressure, handicap=handicap,
+            metrics=metrics, metric_name=metric_name, **wap_args)
+        service = f"middleware{suffix}"
+        registry.register_service(service, node.primary_address,
+                                  gateway.port)
+        if kind == "WAP":
+            registry.register_service(f"{service}-wtls",
+                                      node.primary_address,
+                                      gateway.wtls_port)
+        secure = self.secure_wap
+
+        def make_session(station: MobileStation) -> MiddlewareSession:
+            if secure:
+                endpoint = registry.lookup_service(f"{service}-wtls")
+                return WAPSession(
+                    station, endpoint.address, port=endpoint.port,
+                    secure=True,
+                    entropy=seeds.stream(f"wtls{suffix}-{station.name}"))
+            endpoint = registry.lookup_service(service)
+            return session_cls(station, endpoint.address,
+                               port=endpoint.port)
+
+        return gateway, make_session
+
     def _build_fleet_middleware(self, sim, seeds, registry,
-                                middleware_node, res, cells,
-                                metrics) -> dict:
+                                middleware_node, res, cells, metrics,
+                                base_port: int) -> dict:
         """Gateway fleet tier: pool + balancer + monitors (DESIGN §14).
 
-        Member 0 reuses the classic port, seed-stream names and the
-        ``middleware`` service name, so a fleet of one is byte-for-byte
-        the single-gateway topology; the monitors (health, autoscale,
-        canary) only spawn once there is an actual fleet to manage.
+        Members come from :meth:`_start_gateway`, the factory the
+        single-gateway build uses; member 0 gets its empty suffix, so
+        it has the classic port, service, breaker and seed-stream
+        names.  The monitors (health, autoscale, canary) only spawn
+        once there is an actual fleet to manage.
         """
         from ..fleet import (
             AutoScaler,
@@ -310,89 +373,14 @@ class MCSystemBuilder:
             LoadBalancer,
         )
 
-        kind = self.middleware
-        if kind == "WAP":
-            base_port = self.middleware_port or WSP_PORT
-        elif kind == "Palm":
-            base_port = self.middleware_port or CLIPPING_PORT
-        else:
-            base_port = self.middleware_port or IMODE_PORT
-        gw_address = middleware_node.primary_address
-        secure = self.secure_wap
-
-        def member_pressure(cell_index: int):
-            if not cells:
-                return None  # WLAN: no shared-airtime backlog probe
-            return cells[cell_index % len(cells)].air_backlog
-
         def make_gateway(index, port, version, handicap, cell_index):
-            suffix = "" if index == 0 else f"-m{index}"
-            service = "middleware" if index == 0 else f"middleware-m{index}"
-            breaker = (res.breaker(sim, name=f"{kind}-origin{suffix}")
-                       if res.breaker_threshold > 0 else None)
-            member_batch = res.batch_config()
-            member_stream = (seeds.stream(f"gateway-admission{suffix}")
-                             if member_batch is not None else None)
-            pressure = member_pressure(cell_index)
-            metric_name = f"gateway.gw-{index}"
-            if kind == "WAP":
-                gateway = WAPGateway(
-                    middleware_node, registry, port=port,
-                    wtls_port=port + (WTLS_PORT - WSP_PORT),
-                    entropy=seeds.stream(f"wtls-gateway{suffix}"),
-                    breaker=breaker, origin_timeout=res.origin_timeout,
-                    batching=member_batch, batch_stream=member_stream,
-                    air_pressure=pressure, handicap=handicap,
-                    metrics=metrics, metric_name=metric_name)
-                registry.register_service(service, gw_address,
-                                          gateway.port)
-                registry.register_service(f"{service}-wtls", gw_address,
-                                          gateway.wtls_port)
-
-                def make_member_session(station, _service=service,
-                                        _index=index):
-                    if secure:
-                        endpoint = registry.lookup_service(
-                            f"{_service}-wtls")
-                        stream_name = (
-                            f"wtls-{station.name}" if _index == 0
-                            else f"wtls-m{_index}-{station.name}")
-                        return WAPSession(
-                            station, endpoint.address, port=endpoint.port,
-                            secure=True,
-                            entropy=seeds.stream(stream_name))
-                    endpoint = registry.lookup_service(_service)
-                    return WAPSession(station, endpoint.address,
-                                      port=endpoint.port)
-            elif kind == "Palm":
-                gateway = WebClippingProxy(
-                    middleware_node, registry, port=port,
-                    breaker=breaker, origin_timeout=res.origin_timeout,
-                    batching=member_batch, batch_stream=member_stream,
-                    air_pressure=pressure, handicap=handicap,
-                    metrics=metrics, metric_name=metric_name)
-                registry.register_service(service, gw_address,
-                                          gateway.port)
-
-                def make_member_session(station, _service=service):
-                    endpoint = registry.lookup_service(_service)
-                    return PalmSession(station, endpoint.address,
-                                       port=endpoint.port)
-            else:
-                gateway = IModeCenter(
-                    middleware_node, registry, port=port,
-                    breaker=breaker, origin_timeout=res.origin_timeout,
-                    batching=member_batch, batch_stream=member_stream,
-                    air_pressure=pressure, handicap=handicap,
-                    metrics=metrics, metric_name=metric_name)
-                registry.register_service(service, gw_address,
-                                          gateway.port)
-
-                def make_member_session(station, _service=service):
-                    endpoint = registry.lookup_service(_service)
-                    return IModeSession(station, endpoint.address,
-                                        port=endpoint.port)
-            return gateway, make_member_session
+            # WLAN has no shared-airtime backlog probe (no cells).
+            pressure = (cells[cell_index % len(cells)].air_backlog
+                        if cells else None)
+            return self._start_gateway(
+                sim, seeds, registry, middleware_node, res, metrics, port,
+                "" if index == 0 else f"-m{index}", f"gateway.gw-{index}",
+                air_pressure=pressure, handicap=handicap)
 
         fleet = GatewayFleet(sim, make_gateway, base_port=base_port,
                              port_stride=res.fleet_port_stride,
@@ -521,35 +509,13 @@ class MCSystemBuilder:
 
         # -- middleware service -------------------------------------------
         res = self.resilience
-        origin_timeout = res.origin_timeout if res is not None else 30.0
-        breaker = (res.breaker(sim, name=f"{self.middleware}-origin")
-                   if res is not None and fleet_size == 0 else None)
-        # The fleet replaces the single-standby scheme wholesale: the
-        # ring supplies the ordered failover candidates instead.
-        want_standby = (res is not None and res.standby_gateway
-                        and fleet_size == 0)
-        standby_breaker = (
-            res.breaker(sim, name=f"{self.middleware}-origin-standby")
-            if want_standby else None)
+        port = self.middleware_port or _MIDDLEWARE[self.middleware][2]
         standby_gateway = None
-        make_standby_session = None
-        standby_offset = res.standby_port_offset if res is not None else 10
-        # Gateway-side batching + admission control (off unless the
-        # config enables it); primary and standby get independent
-        # batchers with their own seeded jitter streams.
-        batch_cfg = (res.batch_config()
-                     if res is not None and fleet_size == 0 else None)
-        batch_stream = (seeds.stream("gateway-admission")
-                        if batch_cfg is not None else None)
-        standby_batch_stream = (seeds.stream("gateway-admission-standby")
-                                if batch_cfg is not None and want_standby
-                                else None)
-        gw_address = middleware_node.primary_address
-
         fleet_parts = None
         if fleet_size > 0:
             fleet_parts = self._build_fleet_middleware(
-                sim, seeds, registry, middleware_node, res, cells, metrics)
+                sim, seeds, registry, middleware_node, res, cells, metrics,
+                port)
             gateway = fleet_parts["gateway"]
             make_session = fleet_parts["make_session"]
             if cellnet is not None:
@@ -562,137 +528,19 @@ class MCSystemBuilder:
                     cell = _cells[member.cell_index % len(_cells)]
                     return _cellnet.attach(station, station.mobile,
                                            cell=cell)
-        elif self.middleware == "WAP":
-            primary_port = self.middleware_port or WSP_PORT
-            gateway = WAPGateway(middleware_node, registry,
-                                 port=primary_port,
-                                 wtls_port=primary_port
-                                 + (WTLS_PORT - WSP_PORT),
-                                 entropy=seeds.stream("wtls-gateway"),
-                                 breaker=breaker,
-                                 origin_timeout=origin_timeout,
-                                 batching=batch_cfg,
-                                 batch_stream=batch_stream,
-                                 air_pressure=air_pressure,
-                                 metrics=metrics,
-                                 metric_name="gateway.primary")
-            secure = self.secure_wap
-            registry.register_service("middleware", gw_address,
-                                      gateway.port)
-            registry.register_service("middleware-wtls", gw_address,
-                                      gateway.wtls_port)
-
-            def make_session(station: MobileStation) -> MiddlewareSession:
-                if secure:
-                    endpoint = registry.lookup_service("middleware-wtls")
-                    return WAPSession(
-                        station, endpoint.address, port=endpoint.port,
-                        secure=True,
-                        entropy=seeds.stream(f"wtls-{station.name}"))
-                endpoint = registry.lookup_service("middleware")
-                return WAPSession(station, endpoint.address,
-                                  port=endpoint.port)
-
-            if want_standby:
-                standby_gateway = WAPGateway(
-                    middleware_node, registry,
-                    port=gateway.port + standby_offset,
-                    wtls_port=gateway.wtls_port + standby_offset,
-                    entropy=seeds.stream("wtls-gateway-standby"),
-                    breaker=standby_breaker, origin_timeout=origin_timeout,
-                    batching=res.batch_config(),
-                    batch_stream=standby_batch_stream,
-                    air_pressure=air_pressure,
-                    metrics=metrics, metric_name="gateway.standby")
-                registry.register_service("middleware-standby", gw_address,
-                                          standby_gateway.port)
-                registry.register_service("middleware-standby-wtls",
-                                          gw_address,
-                                          standby_gateway.wtls_port)
-
-                def make_standby_session(station):
-                    if secure:
-                        endpoint = registry.lookup_service(
-                            "middleware-standby-wtls")
-                        return WAPSession(
-                            station, endpoint.address, port=endpoint.port,
-                            secure=True,
-                            entropy=seeds.stream(
-                                f"wtls-standby-{station.name}"))
-                    endpoint = registry.lookup_service("middleware-standby")
-                    return WAPSession(station, endpoint.address,
-                                      port=endpoint.port)
-        elif self.middleware == "Palm":
-            gateway = WebClippingProxy(middleware_node, registry,
-                                       port=self.middleware_port
-                                       or CLIPPING_PORT,
-                                       breaker=breaker,
-                                       origin_timeout=origin_timeout,
-                                       batching=batch_cfg,
-                                       batch_stream=batch_stream,
-                                       air_pressure=air_pressure,
-                                       metrics=metrics,
-                                       metric_name="gateway.primary")
-            registry.register_service("middleware", gw_address,
-                                      gateway.port)
-
-            def make_session(station: MobileStation) -> MiddlewareSession:
-                endpoint = registry.lookup_service("middleware")
-                return PalmSession(station, endpoint.address,
-                                   port=endpoint.port)
-
-            if want_standby:
-                standby_gateway = WebClippingProxy(
-                    middleware_node, registry,
-                    port=gateway.port + standby_offset,
-                    breaker=standby_breaker, origin_timeout=origin_timeout,
-                    batching=res.batch_config(),
-                    batch_stream=standby_batch_stream,
-                    air_pressure=air_pressure,
-                    metrics=metrics, metric_name="gateway.standby")
-                registry.register_service("middleware-standby", gw_address,
-                                          standby_gateway.port)
-
-                def make_standby_session(station):
-                    endpoint = registry.lookup_service("middleware-standby")
-                    return PalmSession(station, endpoint.address,
-                                       port=endpoint.port)
         else:
-            gateway = IModeCenter(middleware_node, registry,
-                                  port=self.middleware_port or IMODE_PORT,
-                                  breaker=breaker,
-                                  origin_timeout=origin_timeout,
-                                  batching=batch_cfg,
-                                  batch_stream=batch_stream,
-                                  air_pressure=air_pressure,
-                                  metrics=metrics,
-                                  metric_name="gateway.primary")
-            registry.register_service("middleware", gw_address,
-                                      gateway.port)
-
-            def make_session(station: MobileStation) -> MiddlewareSession:
-                endpoint = registry.lookup_service("middleware")
-                return IModeSession(station, endpoint.address,
-                                    port=endpoint.port)
-
-            if want_standby:
-                standby_gateway = IModeCenter(
-                    middleware_node, registry,
-                    port=gateway.port + standby_offset,
-                    breaker=standby_breaker, origin_timeout=origin_timeout,
-                    batching=res.batch_config(),
-                    batch_stream=standby_batch_stream,
-                    air_pressure=air_pressure,
-                    metrics=metrics, metric_name="gateway.standby")
-                registry.register_service("middleware-standby", gw_address,
-                                          standby_gateway.port)
-
-                def make_standby_session(station):
-                    endpoint = registry.lookup_service("middleware-standby")
-                    return IModeSession(station, endpoint.address,
-                                        port=endpoint.port)
-
+            gateway, make_session = self._start_gateway(
+                sim, seeds, registry, middleware_node, res, metrics, port,
+                "", "gateway.primary", air_pressure=air_pressure)
         if res is not None and fleet_parts is None:
+            # A standby is ordered failover behind the primary; a fleet
+            # replaces it wholesale (the ring supplies the candidates).
+            make_standby_session = None
+            if res.standby_gateway:
+                standby_gateway, make_standby_session = self._start_gateway(
+                    sim, seeds, registry, middleware_node, res, metrics,
+                    port + res.standby_port_offset, "-standby",
+                    "gateway.standby", air_pressure=air_pressure)
             make_primary_session = make_session
 
             def make_session(station: MobileStation) -> MiddlewareSession:

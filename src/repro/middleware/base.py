@@ -19,12 +19,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Optional
 from urllib.parse import urlsplit
 
+from ..net.tcp import TCPConnection, tcp_stack
+from ..obs import ctx_of, end_span, start_span
 from ..sim import Counter, Event, Interrupt, SimulationError
+from ..web.client import HTTPClient
 
 __all__ = ["RequestTimeout", "MiddlewareResponse", "MiddlewareSession",
            "guard_timeout", "split_url", "encode_frame", "encode_obj",
            "decode_obj", "FrameReader", "BatchConfig", "RequestBatcher",
-           "frame_reply"]
+           "frame_reply", "GatewayCore"]
 
 
 class RequestTimeout(Exception):
@@ -419,3 +422,225 @@ class RequestBatcher:
                 500, f"{type(exc).__name__}: {exc}", None)
         if not done.triggered:
             done.succeed(reply)
+
+
+# ------------------------------------------------------- gateway core
+class GatewayCore:
+    """What the WAP gateway, i-mode centre and clipping proxy share.
+
+    Figure 2 has one *mobile middleware* component; Table 3's three
+    implementations differ in markup, session model and payload limit,
+    not in how they sit between the wireless and wired networks.  This
+    class owns that common placement:
+
+    * the listener, accept loop, serve loop and ``crash``/``restart``;
+    * the optional :class:`RequestBatcher` (batched or inline serving);
+    * the per-request wrapper (request counter, handicap, span);
+    * the guarded origin fetch: URL split (400), DNS (502), circuit
+      breaker (503 + retry-after), the origin call with its timeout
+      (504 on silence) and breaker bookkeeping by status.
+
+    A protocol subclass supplies the transform step
+    (:meth:`_transform`) and the names its processes, spans and counters
+    have always carried, and overrides what else differs: the wire
+    codec and request accessors (:meth:`_decoder`, :meth:`_encode_reply`,
+    ``_request_*``; the defaults speak the length-prefixed frame
+    protocol), the shape of its error replies (:meth:`_error_reply`)
+    and the origin request headers (:meth:`_origin_headers`).
+    """
+
+    # Process, span, counter and message names (subclasses override).
+    accept_process = "gateway"        # accept loop, "<name>@<node>"
+    batch_process = "gw-batch"        # batcher flush loop, "<name>@<node>"
+    session_process = "gateway-session"
+    span_name = "gateway"
+    sessions_counter = "sessions"
+    requests_counter = "requests"
+    crash_message = "gateway crashed"
+    breaker_message = "gateway circuit open"
+
+    def __init__(self, node, registry, port: int, tcp=None,
+                 breaker=None, origin_timeout: float = 30.0,
+                 batching: Optional[BatchConfig] = None,
+                 batch_stream=None, air_pressure=None,
+                 handicap: float = 0.0, metrics=None,
+                 metric_name: Optional[str] = None):
+        if handicap < 0:
+            raise ValueError(f"handicap must be >= 0, got {handicap}")
+        self.node = node
+        self.sim = node.sim
+        self.registry = registry
+        self.port = port
+        self.tcp = tcp or tcp_stack(node)
+        self.http = HTTPClient(node, tcp=self.tcp)
+        # Optional CircuitBreaker guarding gateway -> origin calls.
+        self.breaker = breaker
+        self.origin_timeout = origin_timeout
+        self.stats = Counter()
+        # Per-request service handicap in sim-seconds, charged before
+        # handling.  0 (the default) adds no event; canary "v2"
+        # variants use it as the public knob for a degraded build.
+        self.handicap = handicap
+        # Optional accumulate-and-flush batching + admission control:
+        # serve loops route requests through the batcher when present
+        # (None serves inline).
+        self.batcher = None
+        if batching is not None:
+            self.batcher = RequestBatcher(
+                self.sim, batching, handler=self._handle,
+                reply_factory=self._shed_reply, stream=batch_stream,
+                stats=self.stats, name=f"{self.batch_process}@{node.name}",
+                pressure=air_pressure, metrics=metrics,
+                metric_name=metric_name)
+        self.is_down = False
+        self._conns: list[TCPConnection] = []
+        self._listener = self.tcp.listen(port)
+        self.sim.spawn(self._accept_loop(self._listener,
+                                         self.sessions_counter,
+                                         self._serve, self.session_process),
+                       name=f"{self.accept_process}@{node.name}")
+
+    # -- protocol hooks ----------------------------------------------------
+    # The defaults are the length-prefixed frame protocol WAP and Palm
+    # speak (dict requests and replies); i-mode overrides them for HTTP.
+    # Gateway-originated replies: origin-guard errors and batcher sheds.
+    _error_reply = staticmethod(frame_reply)
+    _shed_reply = staticmethod(frame_reply)
+
+    def _decoder(self):
+        """Incremental request decoder with ``feed(chunk) -> [request]``."""
+        return FrameReader()
+
+    def _encode_reply(self, reply) -> bytes:
+        return encode_frame(reply)
+
+    def _request_url(self, request) -> str:
+        return request.get("url", "")
+
+    def _request_method(self, request) -> str:
+        return request.get("method", "GET").upper()
+
+    def _request_body(self, request) -> bytes:
+        return request.get("body", b"")
+
+    def _origin_headers(self) -> Optional[dict]:
+        """Extra headers on the origin request (None: none)."""
+        return None
+
+    def _transform(self, request, response, span):
+        """Generator turning the origin response into the device reply."""
+        raise NotImplementedError
+
+    # -- fault hooks -------------------------------------------------------
+    def crash(self) -> None:
+        """Hard-stop: every established session is severed; new sessions
+        are refused (closed immediately) until :meth:`restart`."""
+        if self.is_down:
+            return
+        self.is_down = True
+        self.stats.incr("crashes")
+        if self.batcher is not None:
+            self.batcher.reject_pending(self.crash_message)
+        for conn in self._conns:
+            conn.close()
+        self._conns.clear()
+
+    def restart(self) -> None:
+        if not self.is_down:
+            return
+        self.is_down = False
+        self.stats.incr("restarts")
+
+    # -- serving -------------------------------------------------------------
+    def _accept_loop(self, listener, counter: str, serve, process: str):
+        while True:
+            conn = yield listener.accept()
+            if self.is_down:
+                conn.close()
+                continue
+            self._conns.append(conn)
+            self.stats.incr(counter)
+            self.sim.spawn(serve(conn), name=process)
+
+    def _serve(self, conn):
+        decoder = self._decoder()
+        while True:
+            chunk = yield conn.recv()
+            if chunk == b"":
+                self._forget(conn)
+                return
+            for request in decoder.feed(chunk):
+                reply = yield from self._answer(request, conn)
+                if reply is None:
+                    return
+                conn.send(self._encode_reply(reply))
+
+    def _answer(self, request, conn):
+        """Handle one request (batched or inline); None drops the reply."""
+        # conn.trace arrives as packet metadata via TCP.
+        if self.batcher is not None:
+            reply = yield self.batcher.submit(request, parent=conn.trace)
+        else:
+            reply = yield from self._handle(request, parent=conn.trace)
+        if self.is_down or \
+                conn.state not in (TCPConnection.ESTABLISHED,
+                                   TCPConnection.CLOSE_WAIT):
+            # Crashed (or peer gone) while handling: drop the reply.
+            self._forget(conn)
+            return None
+        return reply
+
+    def _forget(self, conn) -> None:
+        if conn in self._conns:
+            self._conns.remove(conn)
+
+    def _handle(self, request, parent=None):
+        self.stats.incr(self.requests_counter)
+        if self.handicap > 0:
+            yield self.sim.timeout(self.handicap)
+        span = None
+        if self.sim.tracer is not None and parent is not None:
+            span = start_span(self.sim, self.span_name, "middleware",
+                              parent=parent, url=self._request_url(request))
+        try:
+            reply = yield from self._handle_inner(request, span)
+        finally:
+            end_span(self.sim, span)
+        return reply
+
+    def _handle_inner(self, request, span):
+        """The guarded origin fetch, then the protocol's transform."""
+        try:
+            host, path = split_url(self._request_url(request))
+        except ValueError as exc:
+            return self._error_reply(400, str(exc))
+        origin = self.registry.lookup(host)
+        if origin is None:
+            self.stats.incr("dns_failures")
+            return self._error_reply(502, f"cannot resolve {host}")
+        breaker = self.breaker
+        if breaker is not None and not breaker.allow():
+            self.stats.incr("breaker_rejections")
+            return self._error_reply(503, self.breaker_message,
+                                     breaker.retry_after)
+        if self._request_method(request) == "POST":
+            response = yield self.http.post(
+                origin, path, self._request_body(request),
+                headers=self._origin_headers(),
+                timeout=self.origin_timeout, trace=ctx_of(span))
+        else:
+            response = yield self.http.get(
+                origin, path, headers=self._origin_headers(),
+                timeout=self.origin_timeout, trace=ctx_of(span))
+        if response is None:
+            self.stats.incr("origin_timeouts")
+            if breaker is not None:
+                breaker.record_failure()
+            return self._error_reply(504, "origin timeout")
+        if breaker is not None:
+            # 5xx (including load-shed 503s) count against the origin.
+            if response.status >= 500:
+                breaker.record_failure()
+            else:
+                breaker.record_success()
+        return (yield from self._transform(request, response, span))

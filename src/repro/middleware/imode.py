@@ -23,17 +23,15 @@ from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
-from ..obs import ctx_of, end_span, start_span
+from ..obs import end_span, start_span
 from ..sim import Counter, Event, Interrupt, RandomStream
-from ..web.client import HTTPClient
 from ..web.http import HTTPRequest, HTTPResponse, RequestParser, ResponseParser
 from .base import (
     BatchConfig,
+    GatewayCore,
     MiddlewareResponse,
     MiddlewareSession,
-    RequestBatcher,
     guard_timeout,
-    split_url,
 )
 from .chtml import CHTML_CONTENT_TYPE, is_compact, to_chtml
 
@@ -52,13 +50,21 @@ def _http_reply(status: int, message: str,
     return HTTPResponse(status, headers, message)
 
 
-class IModeCenter:
+class IModeCenter(GatewayCore):
     """NTT DoCoMo's packet-gateway-plus-portal, as an HTTP proxy."""
 
     # Table 3 properties (cross-checked by the static model checker).
     markup = "cHTML"
     session_model = "always-on"
     payload_limit: Optional[int] = None
+
+    accept_process = "imode"
+    batch_process = "imode-batch"
+    session_process = "imode-session"
+    span_name = "imode.center"
+    sessions_counter = "subscriber_sessions"
+    crash_message = "centre crashed"
+    breaker_message = "centre circuit open"
 
     def __init__(self, node: Node, registry: NameRegistry,
                  port: int = IMODE_PORT, tcp: Optional[TCPStack] = None,
@@ -67,142 +73,33 @@ class IModeCenter:
                  batch_stream: Optional[RandomStream] = None,
                  air_pressure=None, handicap: float = 0.0,
                  metrics=None, metric_name: Optional[str] = None):
-        if handicap < 0:
-            raise ValueError(f"handicap must be >= 0, got {handicap}")
-        self.node = node
-        self.sim = node.sim
-        self.registry = registry
-        self.port = port
-        self.tcp = tcp or tcp_stack(node)
-        self.http = HTTPClient(node, tcp=self.tcp)
-        self.breaker = breaker
-        self.origin_timeout = origin_timeout
-        self.stats = Counter()
-        # Per-request service handicap in sim-seconds (0 = none); the
-        # public knob canary "v2" variants use for degraded builds.
-        self.handicap = handicap
-        # Optional accumulate-and-flush batching + admission control
-        # (None keeps the legacy inline path bit-for-bit).
-        self.batcher = None
-        if batching is not None:
-            self.batcher = RequestBatcher(
-                self.sim, batching, handler=self._proxy,
-                reply_factory=_http_reply, stream=batch_stream,
-                stats=self.stats, name=f"imode-batch@{node.name}",
-                pressure=air_pressure, metrics=metrics,
-                metric_name=metric_name)
-        self.is_down = False
-        self._conns: list[TCPConnection] = []
-        self._listener = self.tcp.listen(port)
-        self.sim.spawn(self._accept_loop(), name=f"imode@{node.name}")
+        super().__init__(node, registry, port=port, tcp=tcp,
+                         breaker=breaker, origin_timeout=origin_timeout,
+                         batching=batching, batch_stream=batch_stream,
+                         air_pressure=air_pressure, handicap=handicap,
+                         metrics=metrics, metric_name=metric_name)
 
-    # -- fault hooks -------------------------------------------------------
-    def crash(self) -> None:
-        if self.is_down:
-            return
-        self.is_down = True
-        self.stats.incr("crashes")
-        if self.batcher is not None:
-            self.batcher.reject_pending("centre crashed")
-        for conn in self._conns:
-            conn.close()
-        self._conns.clear()
+    # -- protocol hooks: HTTP instead of the frame protocol ------------------
+    _error_reply = _shed_reply = staticmethod(_http_reply)
 
-    def restart(self) -> None:
-        if not self.is_down:
-            return
-        self.is_down = False
-        self.stats.incr("restarts")
+    def _decoder(self) -> RequestParser:
+        return RequestParser()
 
-    def _accept_loop(self):
-        while True:
-            conn = yield self._listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("subscriber_sessions")
-            self.sim.spawn(self._serve(conn), name="imode-session")
+    def _encode_reply(self, response: HTTPResponse) -> bytes:
+        response.headers["connection"] = "keep-alive"
+        return response.encode()
 
-    def _serve(self, conn: TCPConnection):
-        parser = RequestParser()
-        while True:
-            chunk = yield conn.recv()
-            if chunk == b"":
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                return
-            for request in parser.feed(chunk):
-                # conn.trace arrives as packet metadata via TCP.
-                if self.batcher is not None:
-                    response = yield self.batcher.submit(request,
-                                                         parent=conn.trace)
-                else:
-                    response = yield from self._proxy(request,
-                                                      parent=conn.trace)
-                if self.is_down or \
-                        conn.state not in (TCPConnection.ESTABLISHED,
-                                           TCPConnection.CLOSE_WAIT):
-                    if conn in self._conns:
-                        self._conns.remove(conn)
-                    return
-                response.headers["connection"] = "keep-alive"
-                conn.send(response.encode())
+    def _request_url(self, request: HTTPRequest) -> str:
+        return request.path
 
-    def _proxy(self, request: HTTPRequest, parent=None):
-        self.stats.incr("requests")
-        if self.handicap > 0:
-            yield self.sim.timeout(self.handicap)
-        span = None
-        if self.sim.tracer is not None and parent is not None:
-            span = start_span(self.sim, "imode.center", "middleware",
-                              parent=parent, url=request.path)
-        try:
-            response = yield from self._proxy_inner(request, span)
-        finally:
-            end_span(self.sim, span)
-        return response
+    def _request_method(self, request: HTTPRequest) -> str:
+        return request.method
 
-    def _proxy_inner(self, request: HTTPRequest, span):
-        try:
-            host, path = split_url(request.path)
-        except ValueError as exc:
-            return HTTPResponse(400, {"content-type": "text/plain"},
-                                str(exc))
-        origin = self.registry.lookup(host)
-        if origin is None:
-            self.stats.incr("dns_failures")
-            return HTTPResponse(502, {"content-type": "text/plain"},
-                                f"cannot resolve {host}")
-        if self.breaker is not None and not self.breaker.allow():
-            self.stats.incr("breaker_rejections")
-            return HTTPResponse(
-                503,
-                {"content-type": "text/plain",
-                 "retry-after": f"{self.breaker.retry_after:g}"},
-                b"centre circuit open")
-        if request.method == "POST":
-            upstream = yield self.http.post(origin, path, request.body,
-                                            timeout=self.origin_timeout,
-                                            trace=ctx_of(span))
-        else:
-            upstream = yield self.http.get(origin, path,
-                                           timeout=self.origin_timeout,
-                                           trace=ctx_of(span))
-        if upstream is None:
-            self.stats.incr("origin_timeouts")
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return HTTPResponse(504, {"content-type": "text/plain"},
-                                "origin timeout")
-        if self.breaker is not None:
-            if upstream.status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-        return (yield from self._adapt(upstream, parent=span))
+    def _request_body(self, request: HTTPRequest) -> bytes:
+        return request.body
 
-    def _adapt(self, upstream: HTTPResponse, parent=None):
+    def _adapt(self, request: HTTPRequest, upstream: HTTPResponse,
+               parent=None):
         span = None
         if parent is not None:
             span = start_span(self.sim, "imode.adapt", "middleware",
@@ -228,6 +125,8 @@ class IModeCenter:
             # Keep the origin's backpressure hint for the handset.
             headers["retry-after"] = retry_after
         return HTTPResponse(upstream.status, headers, body)
+
+    _transform = _adapt
 
 
 class IModeSession(MiddlewareSession):

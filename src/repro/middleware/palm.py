@@ -22,20 +22,17 @@ from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
-from ..obs import ctx_of, end_span, start_span
+from ..obs import end_span, start_span
 from ..sim import Counter, Event, Interrupt, RandomStream, Resource
-from ..web.client import HTTPClient
 from .adaptation import extract_title, strip_tags
 from .base import (
     BatchConfig,
     FrameReader,
+    GatewayCore,
     MiddlewareResponse,
     MiddlewareSession,
-    RequestBatcher,
     encode_frame,
-    frame_reply,
     guard_timeout,
-    split_url,
 )
 
 __all__ = ["WebClippingProxy", "PalmSession", "CLIPPING_PORT",
@@ -47,12 +44,19 @@ CLIPPING_BYTE_LIMIT = 1024  # the Palm VII-era hard ceiling per clipping
 CLIPPING_TIME_PER_KB = 0.001
 
 
-class WebClippingProxy:
+class WebClippingProxy(GatewayCore):
     """The clipping server: fetch, strip, truncate, compress."""
 
     # Table 3 properties (cross-checked by the static model checker).
     markup = "web-clipping"
     session_model = "request-response"
+
+    accept_process = "clipper"
+    batch_process = "clip-batch"
+    session_process = "clipping-session"
+    span_name = "palm.proxy"
+    crash_message = "proxy crashed"
+    breaker_message = "proxy circuit open"
 
     def __init__(self, node: Node, registry: NameRegistry,
                  port: int = CLIPPING_PORT,
@@ -63,144 +67,27 @@ class WebClippingProxy:
                  batch_stream: Optional[RandomStream] = None,
                  air_pressure=None, handicap: float = 0.0,
                  metrics=None, metric_name: Optional[str] = None):
-        if handicap < 0:
-            raise ValueError(f"handicap must be >= 0, got {handicap}")
-        self.node = node
-        self.sim = node.sim
-        self.registry = registry
-        self.port = port
+        super().__init__(node, registry, port=port, tcp=tcp,
+                         breaker=breaker, origin_timeout=origin_timeout,
+                         batching=batching, batch_stream=batch_stream,
+                         air_pressure=air_pressure, handicap=handicap,
+                         metrics=metrics, metric_name=metric_name)
         self.byte_limit = byte_limit
-        self.tcp = tcp or tcp_stack(node)
-        self.http = HTTPClient(node, tcp=self.tcp)
-        self.breaker = breaker
-        self.origin_timeout = origin_timeout
-        self.stats = Counter()
-        # Per-request service handicap in sim-seconds (0 = none); the
-        # public knob canary "v2" variants use for degraded builds.
-        self.handicap = handicap
-        # Optional accumulate-and-flush batching + admission control
-        # (None keeps the legacy inline path bit-for-bit).
-        self.batcher = None
-        if batching is not None:
-            self.batcher = RequestBatcher(
-                self.sim, batching, handler=self._handle,
-                reply_factory=frame_reply, stream=batch_stream,
-                stats=self.stats, name=f"clip-batch@{node.name}",
-                pressure=air_pressure, metrics=metrics,
-                metric_name=metric_name)
-        self.is_down = False
-        self._conns: list[TCPConnection] = []
-        self._listener = self.tcp.listen(port)
-        self.sim.spawn(self._accept_loop(), name=f"clipper@{node.name}")
 
     @property
     def payload_limit(self) -> int:
         return self.byte_limit
 
-    # -- fault hooks -------------------------------------------------------
-    def crash(self) -> None:
-        if self.is_down:
-            return
-        self.is_down = True
-        self.stats.incr("crashes")
-        if self.batcher is not None:
-            self.batcher.reject_pending("proxy crashed")
-        for conn in self._conns:
-            conn.close()
-        self._conns.clear()
+    # -- protocol hooks ----------------------------------------------------
+    @staticmethod
+    def _error_reply(status: int, message: str,
+                     retry_after: Optional[float] = None) -> dict:
+        # The proxy's own errors carry no content type on the wire
+        # (its batcher's sheds do: they keep the shared frame shape).
+        meta = {} if retry_after is None else {"retry_after": retry_after}
+        return {"status": status, "body": message.encode(), "meta": meta}
 
-    def restart(self) -> None:
-        if not self.is_down:
-            return
-        self.is_down = False
-        self.stats.incr("restarts")
-
-    def _accept_loop(self):
-        while True:
-            conn = yield self._listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("sessions")
-            self.sim.spawn(self._serve(conn), name="clipping-session")
-
-    def _serve(self, conn: TCPConnection):
-        reader = FrameReader()
-        while True:
-            chunk = yield conn.recv()
-            if chunk == b"":
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                return
-            for request in reader.feed(chunk):
-                # conn.trace arrives as packet metadata via TCP.
-                if self.batcher is not None:
-                    reply = yield self.batcher.submit(request,
-                                                      parent=conn.trace)
-                else:
-                    reply = yield from self._handle(request,
-                                                    parent=conn.trace)
-                if self.is_down or \
-                        conn.state not in (TCPConnection.ESTABLISHED,
-                                           TCPConnection.CLOSE_WAIT):
-                    if conn in self._conns:
-                        self._conns.remove(conn)
-                    return
-                conn.send(encode_frame(reply))
-
-    def _handle(self, request: dict, parent=None):
-        self.stats.incr("requests")
-        if self.handicap > 0:
-            yield self.sim.timeout(self.handicap)
-        span = None
-        if self.sim.tracer is not None and parent is not None:
-            span = start_span(self.sim, "palm.proxy", "middleware",
-                              parent=parent,
-                              url=request.get("url", ""))
-        try:
-            reply = yield from self._handle_inner(request, span)
-        finally:
-            end_span(self.sim, span)
-        return reply
-
-    def _handle_inner(self, request: dict, span):
-        url = request.get("url", "")
-        try:
-            host, path = split_url(url)
-        except ValueError as exc:
-            return {"status": 400, "body": str(exc).encode(), "meta": {}}
-        origin = self.registry.lookup(host)
-        if origin is None:
-            self.stats.incr("dns_failures")
-            return {"status": 502,
-                    "body": f"cannot resolve {host}".encode(), "meta": {}}
-        if self.breaker is not None and not self.breaker.allow():
-            self.stats.incr("breaker_rejections")
-            return {"status": 503, "body": b"proxy circuit open",
-                    "meta": {"retry_after": self.breaker.retry_after}}
-        if request.get("method", "GET").upper() == "POST":
-            response = yield self.http.post(origin, path,
-                                            request.get("body", b""),
-                                            timeout=self.origin_timeout,
-                                            trace=ctx_of(span))
-        else:
-            response = yield self.http.get(origin, path,
-                                           timeout=self.origin_timeout,
-                                           trace=ctx_of(span))
-        if response is None:
-            self.stats.incr("origin_timeouts")
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return {"status": 504, "body": b"origin timeout", "meta": {}}
-        if self.breaker is not None:
-            if response.status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-        return (yield from self._clip(response, parent=span))
-
-    def _clip(self, response, parent=None):
+    def _clip(self, request: dict, response, parent=None):
         body = response.body
         meta = {"origin_bytes": len(body), "clipped": False}
         retry_after = response.headers.get("retry-after")
@@ -231,6 +118,8 @@ class WebClippingProxy:
         # Non-HTML passes through uncompressed (rare for Palm-era use).
         return {"status": response.status, "body": body,
                 "content_type": response.content_type, "meta": meta}
+
+    _transform = _clip
 
 
 class PalmSession(MiddlewareSession):

@@ -26,23 +26,20 @@ from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
-from ..obs import ctx_of, end_span, start_span
+from ..obs import end_span, start_span
 from ..security.wtls import SecureChannel, SecurityError
 from ..sim import Counter, Event, Interrupt, RandomStream
-from ..web.client import HTTPClient
 from .adaptation import html_to_wml
 from .base import (
     BatchConfig,
     FrameReader,
+    GatewayCore,
     MiddlewareResponse,
     MiddlewareSession,
-    RequestBatcher,
     decode_obj,
     encode_frame,
     encode_obj,
-    frame_reply,
     guard_timeout,
-    split_url,
 )
 from .wml import WML_CONTENT_TYPE, WMLC_CONTENT_TYPE, encode_wmlc, parse_wml
 
@@ -53,13 +50,20 @@ WTLS_PORT = 9203  # WAP's registered secure-session port
 TRANSLATION_TIME_PER_KB = 0.002  # HTML->WML transcoding CPU cost
 
 
-class WAPGateway:
+class WAPGateway(GatewayCore):
     """The protocol translation point between wireless and wired worlds."""
 
     # Table 3 properties (cross-checked by the static model checker).
     markup = "WML"
     session_model = "gateway-session"
     payload_limit: Optional[int] = None
+
+    accept_process = "wap-gw"
+    batch_process = "wap-batch"
+    session_process = "wsp-session"
+    span_name = "wap.gateway"
+    sessions_counter = "wsp_sessions"
+    requests_counter = "wsp_requests"
 
     def __init__(self, node: Node, registry: NameRegistry,
                  port: int = WSP_PORT, tcp: Optional[TCPStack] = None,
@@ -71,90 +75,32 @@ class WAPGateway:
                  batch_stream: Optional[RandomStream] = None,
                  air_pressure=None, handicap: float = 0.0,
                  metrics=None, metric_name: Optional[str] = None):
-        if handicap < 0:
-            raise ValueError(f"handicap must be >= 0, got {handicap}")
-        self.node = node
-        self.sim = node.sim
-        self.registry = registry
-        self.port = port
+        super().__init__(node, registry, port=port, tcp=tcp,
+                         breaker=breaker, origin_timeout=origin_timeout,
+                         batching=batching, batch_stream=batch_stream,
+                         air_pressure=air_pressure, handicap=handicap,
+                         metrics=metrics, metric_name=metric_name)
         self.wtls_port = wtls_port
-        self.tcp = tcp or tcp_stack(node)
-        self.http = HTTPClient(node, tcp=self.tcp)
         self.entropy = entropy
-        # Optional CircuitBreaker guarding gateway -> origin calls.
-        self.breaker = breaker
-        self.origin_timeout = origin_timeout
         # Response cache for GETs (real gateways cached aggressively to
         # spare the air interface); 0 disables it.
         self.cache_ttl = cache_ttl
         self._cache: dict[tuple, tuple[float, dict]] = {}
-        self.stats = Counter()
-        # Per-request service handicap in sim-seconds, charged before
-        # handling.  0 (the default) adds no event and keeps legacy
-        # runs bit-for-bit; canary "v2" variants use it as the public
-        # knob for a deliberately degraded build.
-        self.handicap = handicap
-        # Optional accumulate-and-flush batching + admission control:
-        # serve loops route requests through the batcher when present
-        # (None keeps the legacy inline path bit-for-bit).
-        self.batcher = None
-        if batching is not None:
-            self.batcher = RequestBatcher(
-                self.sim, batching, handler=self._handle,
-                reply_factory=frame_reply, stream=batch_stream,
-                stats=self.stats, name=f"wap-batch@{node.name}",
-                pressure=air_pressure, metrics=metrics,
-                metric_name=metric_name)
-        self.is_down = False
-        self._conns: list[TCPConnection] = []
-        self._listener = self.tcp.listen(port)
-        self.sim.spawn(self._accept_loop(), name=f"wap-gw@{node.name}")
         # WTLS: WAP's transport security layer, on its registered port.
         # Enabled only when the gateway is given an entropy stream.
         if entropy is not None:
             self._secure_listener = self.tcp.listen(wtls_port)
-            self.sim.spawn(self._secure_accept_loop(),
+            self.sim.spawn(self._accept_loop(self._secure_listener,
+                                             "wtls_sessions",
+                                             self._serve_secure,
+                                             "wtls-session"),
                            name=f"wap-wtls@{node.name}")
 
-    # -- fault hooks -------------------------------------------------------
-    def crash(self) -> None:
-        """Hard-stop: every established session is severed; new sessions
-        are refused (closed immediately) until :meth:`restart`."""
-        if self.is_down:
-            return
-        self.is_down = True
-        self.stats.incr("crashes")
-        if self.batcher is not None:
-            self.batcher.reject_pending("gateway crashed")
-        for conn in self._conns:
-            conn.close()
-        self._conns.clear()
-
-    def restart(self) -> None:
-        if not self.is_down:
-            return
-        self.is_down = False
-        self.stats.incr("restarts")
-
-    def _accept_loop(self):
-        while True:
-            conn = yield self._listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("wsp_sessions")
-            self.sim.spawn(self._serve(conn), name="wsp-session")
-
-    def _secure_accept_loop(self):
-        while True:
-            conn = yield self._secure_listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("wtls_sessions")
-            self.sim.spawn(self._serve_secure(conn), name="wtls-session")
+    # -- protocol hooks ----------------------------------------------------
+    def _origin_headers(self) -> dict:
+        # Negotiate: origins that author native WML serve it directly
+        # (no transcoding); others fall back to HTML for translation.
+        return {"accept": f"{WML_CONTENT_TYPE}, text/html"}
 
     def _serve_secure(self, conn: TCPConnection):
         channel = SecureChannel(conn, self.entropy)
@@ -174,66 +120,15 @@ class WAPGateway:
             if record == b"":
                 self._forget(conn)
                 return
-            request = decode_obj(record)
-            if self.batcher is not None:
-                reply = yield self.batcher.submit(request,
-                                                  parent=conn.trace)
-            else:
-                reply = yield from self._handle(request,
-                                                parent=conn.trace)
-            if self.is_down or \
-                    conn.state not in (TCPConnection.ESTABLISHED,
-                                       TCPConnection.CLOSE_WAIT):
-                # Crashed (or peer gone) while handling: drop the reply.
-                self._forget(conn)
+            reply = yield from self._answer(decode_obj(record), conn)
+            if reply is None:
                 return
             channel.send(encode_obj(reply))
 
-    def _serve(self, conn: TCPConnection):
-        reader = FrameReader()
-        while True:
-            chunk = yield conn.recv()
-            if chunk == b"":
-                self._forget(conn)
-                return
-            for request in reader.feed(chunk):
-                # conn.trace arrives as packet metadata via TCP.
-                if self.batcher is not None:
-                    reply = yield self.batcher.submit(request,
-                                                      parent=conn.trace)
-                else:
-                    reply = yield from self._handle(request,
-                                                    parent=conn.trace)
-                if self.is_down or \
-                        conn.state not in (TCPConnection.ESTABLISHED,
-                                           TCPConnection.CLOSE_WAIT):
-                    self._forget(conn)
-                    return
-                conn.send(encode_frame(reply))
-
-    def _forget(self, conn: TCPConnection) -> None:
-        if conn in self._conns:
-            self._conns.remove(conn)
-
-    def _handle(self, request: dict, parent=None):
-        self.stats.incr("wsp_requests")
-        if self.handicap > 0:
-            yield self.sim.timeout(self.handicap)
-        span = None
-        if self.sim.tracer is not None and parent is not None:
-            span = start_span(self.sim, "wap.gateway", "middleware",
-                              parent=parent,
-                              url=request.get("url", ""))
-        try:
-            reply = yield from self._handle_inner(request, span)
-        finally:
-            end_span(self.sim, span)
-        return reply
-
     def _handle_inner(self, request: dict, span):
-        url = request.get("url", "")
-        method = request.get("method", "GET").upper()
-        cache_key = (method, url, request.get("accept", ""))
+        method = self._request_method(request)
+        cache_key = (method, self._request_url(request),
+                     request.get("accept", ""))
         if self.cache_ttl > 0 and method == "GET":
             cached = self._cache.get(cache_key)
             if cached is not None and \
@@ -242,51 +137,7 @@ class WAPGateway:
                 reply = dict(cached[1])
                 reply["meta"] = dict(reply.get("meta", {}), cache_hit=True)
                 return reply
-        try:
-            host, path = split_url(url)
-        except ValueError as exc:
-            return {"status": 400, "content_type": "text/plain",
-                    "body": str(exc).encode(), "meta": {}}
-        origin = self.registry.lookup(host)
-        if origin is None:
-            self.stats.incr("dns_failures")
-            return {"status": 502, "content_type": "text/plain",
-                    "body": f"cannot resolve {host}".encode(), "meta": {}}
-
-        if self.breaker is not None and not self.breaker.allow():
-            self.stats.incr("breaker_rejections")
-            return {"status": 503, "content_type": "text/plain",
-                    "body": b"gateway circuit open",
-                    "meta": {"retry_after": self.breaker.retry_after}}
-
-        # Negotiate: origins that author native WML serve it directly
-        # (no transcoding); others fall back to HTML for translation.
-        negotiate = {"accept": f"{WML_CONTENT_TYPE}, text/html"}
-        method = request.get("method", "GET").upper()
-        if method == "POST":
-            response = yield self.http.post(
-                origin, path, request.get("body", b""),
-                headers=negotiate, timeout=self.origin_timeout,
-                trace=ctx_of(span))
-        else:
-            response = yield self.http.get(origin, path,
-                                           headers=negotiate,
-                                           timeout=self.origin_timeout,
-                                           trace=ctx_of(span))
-        if response is None:
-            self.stats.incr("origin_timeouts")
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return {"status": 504, "content_type": "text/plain",
-                    "body": b"origin timeout", "meta": {}}
-        if self.breaker is not None:
-            # 5xx (including load-shed 503s) count against the origin.
-            if response.status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-
-        reply = yield from self._translate(request, response, parent=span)
+        reply = yield from super()._handle_inner(request, span)
         if self.cache_ttl > 0 and method == "GET" and \
                 reply.get("status") == 200:
             self._cache[cache_key] = (self.sim.now, reply)
@@ -335,6 +186,8 @@ class WAPGateway:
                  delivered_bytes=len(body))
         return {"status": response.status, "content_type": content_type,
                 "body": body, "meta": meta}
+
+    _transform = _translate
 
 
 class WAPSession(MiddlewareSession):

@@ -27,8 +27,10 @@ def fleet_check(users: int = 20, seed: int = 7) -> dict:
     * **fleet-of-1 transparency** — building the middleware tier as a
       one-member fleet behind the balancer produces the same
       deterministic benchmark section as the plain single-gateway
-      build (member 0 reuses the legacy port, stream names and breaker
-      identity, and the balancer itself schedules no events);
+      build.  Member 0 and the single gateway come from the same
+      builder factory call with the same empty name suffix, so this
+      half checks the balancer path around it (which schedules no
+      events), not two copies of the gateway wiring;
     * **fleet-of-3 reproducibility** — the same seed through a real
       fleet (hash ring, health prober, per-member cells) produces the
       same bytes twice.

@@ -88,7 +88,11 @@ class SecureChannel:
             if self.psk is not None:
                 hello["auth"] = mac(self.psk, b"client-auth").hex()
             self._send_clear(hello)
-            reply = yield from self._recv_clear()
+            try:
+                reply = yield from self._recv_clear()
+            except SecurityError as exc:
+                result.fail(exc)
+                return
             if reply.get("type") != "server_hello":
                 result.fail(SecurityError("expected server_hello"))
                 return
@@ -106,7 +110,11 @@ class SecureChannel:
         result = self.sim.event()
 
         def run(env):
-            hello = yield from self._recv_clear()
+            try:
+                hello = yield from self._recv_clear()
+            except SecurityError as exc:
+                result.fail(exc)
+                return
             if hello.get("type") != "client_hello":
                 result.fail(SecurityError("expected client_hello"))
                 return

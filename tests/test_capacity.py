@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro.core import MCSystemBuilder
+from repro.middleware import WSP_PORT, WTLS_PORT
 from repro.middleware.base import BatchConfig, RequestBatcher, frame_reply
 from repro.perf import bench_resilience, check_capacity_curve, run_bench
 from repro.resilience import ResilienceConfig
@@ -228,6 +229,53 @@ def test_standby_port_offset_is_configurable():
     system = MCSystemBuilder(seed=2, resilience=config).build()
     assert (system.standby_gateway.port
             == system.gateway.port + 25)
+
+
+@pytest.mark.parametrize("middleware", ["WAP", "i-mode", "Palm"])
+def test_gateway_factory_naming_contract(middleware):
+    """Primary, standby and fleet members get their names from one
+    suffix: services, ports, breakers and batcher gauges (the perfbench
+    digests and the chaos report's breaker stats depend on them)."""
+    secure = middleware == "WAP"
+    config = ResilienceConfig(gateway_batching=True)
+    system = MCSystemBuilder(seed=2, middleware=middleware,
+                             secure_wap=secure, resilience=config).build()
+    registry = system.registry
+    port = system.gateway.port
+    assert registry.lookup_service("middleware").port == port
+    assert (registry.lookup_service("middleware-standby").port
+            == port + config.standby_port_offset
+            == system.standby_gateway.port)
+    assert system.gateway.breaker.name == f"{middleware}-origin"
+    assert (system.standby_gateway.breaker.name
+            == f"{middleware}-origin-standby")
+    assert "gateway.primary.queue_depth" in system.metrics.names()
+    assert "gateway.standby.queue_depth" in system.metrics.names()
+
+    fleet_config = dataclasses.replace(config, fleet_size=3)
+    fleet = MCSystemBuilder(seed=2, middleware=middleware,
+                            secure_wap=secure,
+                            resilience=fleet_config).build()
+    services = ["middleware", "middleware-m1", "middleware-m2"]
+    for index, service in enumerate(services):
+        endpoint = fleet.registry.lookup_service(service)
+        assert endpoint.port == (port
+                                 + index * fleet_config.fleet_port_stride)
+        member = fleet.fleet.members[f"gw-{index}"].gateway
+        suffix = "" if index == 0 else f"-m{index}"
+        assert member.breaker.name == f"{middleware}-origin{suffix}"
+    assert fleet.registry.lookup_service("middleware-standby") is None
+    assert "gateway.gw-1.queue_depth" in fleet.metrics.names()
+
+    for built, names in ((system, ["middleware", "middleware-standby"]),
+                         (fleet, services)):
+        for service in names:
+            wtls = built.registry.lookup_service(f"{service}-wtls")
+            if secure:
+                plain = built.registry.lookup_service(service)
+                assert wtls.port == plain.port + (WTLS_PORT - WSP_PORT)
+            else:
+                assert wtls is None
 
 
 def test_builder_wires_air_pressure_probe_for_cellular_only():

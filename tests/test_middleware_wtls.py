@@ -5,7 +5,11 @@ import pytest
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.middleware import WAPSession, WMLC_CONTENT_TYPE, decode_wmlc
-from repro.sim import SeedBank
+from repro.net import Network, Subnet
+from repro.net.tcp import tcp_stack
+from repro.resilience import ResilienceConfig
+from repro.security.wtls import SecureChannel, SecurityError
+from repro.sim import SeedBank, Simulator
 
 
 def build_secure_world(**kwargs):
@@ -119,3 +123,87 @@ def test_secure_costs_a_handshake():
         return done.value.latency
 
     assert first_request_latency(True) > first_request_latency(False)
+
+
+# ------------------------------------------------------ secure failover
+def _secure_purchase_after_crash(**resilience):
+    system, shop = build_secure_world(
+        resilience=ResilienceConfig(direct_fallback=False, **resilience))
+    handle = system.add_station("Toshiba E740")
+    if system.fleet is not None:
+        serving = system.balancer.member_for(handle.station.name).gateway
+    else:
+        serving = system.gateway
+    serving.crash()
+    engine = TransactionEngine(system)
+    done = engine.run_flow(handle, shop.browse_and_buy(account="ann"))
+    system.run(until=600)
+    return system, serving, done.value
+
+
+def test_secure_wap_fails_over_to_the_standby():
+    """A crashed primary ends the WTLS handshake; the session moves on."""
+    system, crashed, record = _secure_purchase_after_crash()
+    assert record.ok, record.error
+    assert crashed.stats.get("wtls_sessions") == 0
+    assert system.standby_gateway.stats.get("wtls_sessions") >= 1
+
+
+def test_secure_wap_fails_over_to_the_next_fleet_member():
+    system, crashed, record = _secure_purchase_after_crash(fleet_size=2)
+    assert record.ok, record.error
+    survivors = [member.gateway for member in system.fleet.members.values()
+                 if member.gateway is not crashed]
+    assert crashed.stats.get("wtls_sessions") == 0
+    assert sum(gw.stats.get("wtls_sessions") for gw in survivors) >= 1
+
+
+def test_handshake_against_a_closing_peer_fails_its_event():
+    """EOF mid-handshake fails the handshake event, not the simulation."""
+    sim = Simulator()
+    network = Network(sim)
+    client_node = network.add_node("client")
+    server_node = network.add_node("server")
+    network.connect(client_node, server_node, Subnet.parse("10.9.0.0/24"),
+                    bandwidth_bps=1_000_000, delay=0.001)
+    network.build_routes()
+    client_tcp = tcp_stack(client_node)
+    server_tcp = tcp_stack(server_node)
+    listener = server_tcp.listen(9203)
+    second = server_tcp.listen(9204)
+    seeds = SeedBank(1)
+    outcomes = {}
+
+    def closing_server(env):
+        conn = yield listener.accept()
+        conn.close()  # the peer goes away before any handshake record
+
+    def client(env):
+        conn = client_tcp.connect(server_node.primary_address, 9203)
+        yield conn.established_event
+        channel = SecureChannel(conn, seeds.stream("client"))
+        try:
+            yield channel.handshake_client()
+        except SecurityError as exc:
+            outcomes["client"] = str(exc)
+
+    def silent_client(env):
+        conn = client_tcp.connect(server_node.primary_address, 9204)
+        yield conn.established_event
+        conn.close()  # connects, then leaves without a client_hello
+
+    def handshaking_server(env):
+        conn = yield second.accept()
+        channel = SecureChannel(conn, seeds.stream("server"))
+        try:
+            yield channel.handshake_server()
+        except SecurityError as exc:
+            outcomes["server"] = str(exc)
+
+    for proc in (closing_server, client, silent_client, handshaking_server):
+        sim.spawn(proc(sim), name=proc.__name__)
+    sim.run(until=60)  # returns normally: nothing escapes a process
+    assert outcomes == {
+        "client": "connection closed during handshake",
+        "server": "connection closed during handshake",
+    }

@@ -331,3 +331,30 @@ def test_builder_with_resilience_wires_everything():
     assert isinstance(handle.session, ResilientSession)
     # primary gateway session, standby session, direct fallback
     assert len(handle.session.routes) == 3
+
+
+@pytest.mark.parametrize("fleet_size", [0, 2])
+@pytest.mark.parametrize("middleware,device", [
+    ("WAP", "Toshiba E740"), ("i-mode", "Toshiba E740"),
+    ("Palm", "Palm i705")])
+def test_breaker_threshold_zero_builds_without_breakers(middleware, device,
+                                                        fleet_size):
+    """``breaker_threshold=0`` means "no breaker" on every build path."""
+    from repro.apps import CommerceApp
+
+    config = ResilienceConfig(breaker_threshold=0, fleet_size=fleet_size)
+    system = MCSystemBuilder(seed=3, middleware=middleware,
+                             resilience=config).build()
+    gateways = ([m.gateway for m in system.fleet.members.values()]
+                if system.fleet is not None
+                else [system.gateway, system.standby_gateway])
+    assert system.gateway.breaker is None
+    assert all(gateway.breaker is None for gateway in gateways)
+    shop = CommerceApp()
+    system.mount_application(shop)
+    system.host.payment.open_account("ann", 100_000)
+    handle = system.add_station(device)
+    engine = TransactionEngine(system)
+    done = engine.run_flow(handle, shop.browse_and_buy(account="ann"))
+    system.run(until=600)
+    assert done.value.ok, done.value.error
